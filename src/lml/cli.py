@@ -1,7 +1,8 @@
 """Command-line surface: reproducible experiments with JSON outputs.
 
 Exit codes: 0 success/accept, 1 checked negative (reject, ambiguous,
-violation, not found), 2 resource limit, 3 input error.  All output is
+violation, not found), 2 resource limit, 3 input error, 4 internal error
+(an uncaught exception; the traceback goes to stderr).  All output is
 deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -23,6 +24,7 @@ from .balls import (
 )
 from .cosets import (
     DEFAULT_MAX_COSETS,
+    DEFAULT_MAX_NODES,
     IndexExceedsBound,
     enumerate_homs,
     schreier_from_table,
@@ -53,6 +55,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_RESOURCE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
+
+_MAX_NODES_HELP = (
+    "cap on the coset-table entries the low-index search tries per degree"
+)
 
 # bytes per ball vertex assumed when translating LML_MAX_MEM into a cap
 _BYTES_PER_VERTEX = 500
@@ -361,7 +368,8 @@ def build_parser():
     p.add_argument("--m", type=int, default=9)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=2_000_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+                   help=_MAX_NODES_HELP)
     p.set_defaults(handler=cmd_quotients)
 
     p = sub.add_parser("witness", help="witness element report for BS(m, n)")
@@ -371,7 +379,8 @@ def build_parser():
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--witness", help="explicit witness word over a, b")
     p.add_argument("--gcd-witness", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=2_000_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+                   help=_MAX_NODES_HELP)
     p.add_argument("--max-vertices", type=int, dest="max_vertices")
     p.set_defaults(handler=cmd_witness)
 
@@ -398,6 +407,12 @@ def main(argv=None):
     except (ParseError, GenSetError, LmlError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        # A crash must not read as exit 1, the clean negative verdict.
+        import traceback  # only needed on this path
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

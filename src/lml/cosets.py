@@ -5,17 +5,16 @@ finitely presented group (HLT strategy: relator scans with gap filling,
 coincidences resolved by union on least representatives), producing the
 permutation action on the coset space.  schreier_from_table turns a
 complete table into sigma maps plus a simple graph, counting the loops
-and parallel edges it had to drop.  enumerate_homs lists all transitive
-permutation quotients of one small degree up to symmetric-group
-conjugacy.  witness_report bundles the evidence that the chosen witness
-element of BS(m, n) is nontrivial yet maps to the identity in every
-quotient of degree <= K, together with its distance from the identity.
+and parallel edges it had to drop.  enumerate_homs (Sims' low-index
+search) lists the transitive degree-k permutation quotients, one per
+conjugacy class of index-k subgroups.  witness_report bundles evidence
+that the witness element of BS(m, n) is nontrivial yet maps to the
+identity in every quotient of degree <= K, with d(e, witness).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -296,28 +295,6 @@ def schreier_from_table(table, genset):
 # finite quotients of a fixed degree
 
 
-def _cycle_type(p):
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if not seen[i]:
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                ln += 1
-            lengths.append(ln)
-    return tuple(sorted(lengths))
-
-
-def _perm_pow(p, e):
-    acc = tuple(range(len(p)))
-    for _ in range(e):
-        acc = _perm_compose(acc, p)
-    return acc
-
-
 @dataclass(frozen=True)
 class FiniteQuotientHom:
     """Permutation images of the generators; one per conjugacy class."""
@@ -325,10 +302,14 @@ class FiniteQuotientHom:
     degree: int
     images: tuple
 
+    @cached_property
+    def _inverses(self):
+        return tuple(_perm_inverse(p) for p in self.images)
+
     def permutation(self, w):
         acc = tuple(range(self.degree))
         for g, e in w.letters:
-            base = self.images[g] if e > 0 else _perm_inverse(self.images[g])
+            base = self.images[g] if e > 0 else self._inverses[g]
             for _ in range(abs(e)):
                 acc = _perm_compose(acc, base)
         return acc
@@ -338,8 +319,8 @@ class FiniteQuotientHom:
         stack = [0]
         while stack:
             x = stack.pop()
-            for p in self.images:
-                for y in (p[x], _perm_inverse(p)[x]):
+            for p, q in zip(self.images, self._inverses):
+                for y in (p[x], q[x]):
                     if y not in reached:
                         reached.add(y)
                         stack.append(y)
@@ -361,98 +342,117 @@ def _canonical_images(images, perms):
     return best
 
 
+def _deduce(table, n, ncols, relators):
+    """Scan every relator from every coset until no gap is left to fill.
+
+    False on a clash: a relator traced round to another coset, or a single
+    gap whose far slot is taken.  Other single gaps are filled in place."""
+    changed = True
+    while changed:
+        changed = False
+        for start in range(n):
+            for cols in relators:
+                f, i, j = start, 0, len(cols) - 1
+                while i <= j and table[f * ncols + cols[i]] >= 0:
+                    f = table[f * ncols + cols[i]]
+                    i += 1
+                if i > j:
+                    if f != start:
+                        return False
+                    continue
+                b = start
+                while j > i and table[b * ncols + (cols[j] ^ 1)] >= 0:
+                    b = table[b * ncols + (cols[j] ^ 1)]
+                    j -= 1
+                if j == i:
+                    c = cols[i]
+                    if table[b * ncols + (c ^ 1)] >= 0:
+                        return False
+                    table[f * ncols + c] = b
+                    table[b * ncols + (c ^ 1)] = f
+                    changed = True
+    return True
+
+
+def _least_in_class(table, n, ncols):
+    """False if another base point, renumbered by first occurrence, gives
+    a row-major smaller table.  Entries are compared up to the first
+    undefined one, so a False also rules out every completion."""
+    for base in range(1, n):
+        new, old = {base: 0}, [base]
+        for pos, u in enumerate(table):
+            if u < 0:
+                break
+            v = table[old[pos // ncols] * ncols + pos % ncols]
+            if v < 0:
+                break
+            if v not in new:
+                new[v] = len(old)
+                old.append(v)
+            if new[v] != u:
+                if new[v] < u:
+                    return False
+                break
+    return True
+
+
 def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
     """All transitive degree-k permutation quotients, up to conjugacy.
 
-    Backtracking over generator images with relators checked as soon as
-    their support is assigned.  Generators constrained by a relator of
-    the shape x^e y^p x^-e y^q are assigned first, after filtering their
-    candidates by cycle-type feasibility (y^p must be conjugate to y^-q).
+    Sims' low-index search over partial coset tables on k points (column
+    2g for generator g, 2g+1 for its inverse), with an explicit stack.
+    Each node fills the first undefined entry with an existing coset or
+    the next new one, then runs _deduce and _least_in_class, so each
+    conjugacy class of index-k subgroups yields one table, transitive as
+    it grows from coset 0.  max_nodes caps the table entries tried.
     Returns canonical (lex-least conjugate) representatives, sorted.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
     ngen = len(presentation.generators)
-    perms = sorted(permutations(range(k)))
-    identity = tuple(range(k))
-
-    constraints = defaultdict(list)
-    for rel in presentation.relators:
-        L = rel.letters
-        if (
-            len(L) == 4
-            and L[0][0] == L[2][0]
-            and L[1][0] == L[3][0]
-            and L[0][0] != L[1][0]
-            and L[0][1] == -L[2][1]
-        ):
-            constraints[L[1][0]].append((abs(L[1][1]), abs(L[3][1])))
-
-    gen_order = sorted(range(ngen), key=lambda g: (g not in constraints, g))
-    position = {g: idx for idx, g in enumerate(gen_order)}
-    candidates = {}
-    for g in range(ngen):
-        pool = perms
-        for p, q in constraints.get(g, ()):
-            pool = [
-                P for P in pool
-                if _cycle_type(_perm_pow(P, p)) == _cycle_type(_perm_pow(P, q))
-            ]
-        candidates[g] = pool
-
-    check_at = defaultdict(list)
-    for rel in presentation.relators:
-        support = {g for g, _ in rel.letters}
-        if support:
-            check_at[max(position[g] for g in support)].append(rel)
-
-    images = [None] * ngen
-    inverses = [None] * ngen
+    ncols = 2 * ngen
+    relators = [
+        [2 * g + 1 if e < 0 else 2 * g for g, e in rel.letters
+         for _ in range(abs(e))]
+        for rel in presentation.relators if rel.letters
+    ]
+    if any(not 0 <= c < ncols for cols in relators for c in cols):
+        raise ValueError("relator letter outside the presentation alphabet")
     found = []
     nodes = 0
-
-    def holds(rel):
-        acc = identity
-        for g, e in rel.letters:
-            base = images[g] if e > 0 else inverses[g]
-            for _ in range(abs(e)):
-                acc = _perm_compose(acc, base)
-        return acc == identity
-
-    def transitive():
-        reached = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for g in range(ngen):
-                for y in (images[g][x], inverses[g][x]):
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-        return len(reached) == k
-
-    def dfs(idx):
-        nonlocal nodes
-        if idx == ngen:
-            if transitive():
-                found.append(tuple(images))
-            return
-        g = gen_order[idx]
-        for P in candidates[g]:
-            nodes += 1
-            if nodes > max_nodes:
+    stack = [([-1] * (k * ncols), 1, 0)]
+    while stack:
+        table, n, pos = stack.pop()
+        while pos < n * ncols and table[pos] >= 0:
+            pos += 1
+        if pos == n * ncols:
+            if n == k:
+                found.append(table)
+            continue
+        c, x = divmod(pos, ncols)
+        for d in range(min(n + 1, k)):
+            if table[d * ncols + (x ^ 1)] >= 0:
+                continue
+            if nodes >= max_nodes:
                 raise ResourceLimitError(
-                    f"hom search exceeds max_nodes={max_nodes}"
+                    f"low-index search at degree {k} reached max_nodes="
+                    f"{max_nodes} table entries; classes so far: {len(found)}"
                 )
-            images[g] = P
-            inverses[g] = _perm_inverse(P)
-            if all(holds(rel) for rel in check_at.get(idx, ())):
-                dfs(idx + 1)
-            images[g] = None
-            inverses[g] = None
-
-    dfs(0)
-    classes = sorted({_canonical_images(imgs, perms) for imgs in found})
+            nodes += 1
+            child = table[:]
+            child[pos] = d
+            child[d * ncols + (x ^ 1)] = c
+            m = max(n, d + 1)
+            if (_deduce(child, m, ncols, relators)
+                    and _least_in_class(child, m, ncols)):
+                stack.append((child, m, pos + 1))
+    classes = sorted(
+        _canonical_images(
+            tuple(tuple(t[2 * g::ncols]) for g in range(ngen)),
+            permutations(range(k)),
+        )
+        for t in found
+    )
     return [FiniteQuotientHom(k, imgs) for imgs in classes]
 
 

@@ -182,7 +182,7 @@ def brute_hom_classes(n_gens, relators, k):
     """Conjugacy classes of transitive relator-respecting image tuples.
 
     relators are words as ((gen, exp), ...) tuples.  Tries every tuple of
-    images in S_k (feasible for k <= 4), keeps those satisfying all
+    images in S_k (feasible for k <= 5), keeps those satisfying all
     relators and acting transitively, then groups by simultaneous
     conjugation and returns the sorted lexicographically minimal
     representatives.

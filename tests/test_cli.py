@@ -10,6 +10,7 @@ import pytest
 from oracles import brute_hom_classes
 
 from lml.balls import parse_graph, parse_rooted_ball, render_graph
+from lml import cli
 from lml.cli import main
 from lml.fixtures import cycle_graph
 
@@ -303,6 +304,16 @@ def test_witness_survivor_flips_exit_code(capsys):
     assert doc["quotient_scan"]["all_trivial"] is False
 
 
+def test_witness_reaches_degree_eight(capsys):
+    code, doc, _ = run_json(
+        capsys, "witness", "--m", "9", "--n", "10", "--max-degree", "8"
+    )
+    assert code == 0
+    scan = doc["quotient_scan"]
+    assert [d["classes"] for d in scan["per_degree"]] == [1, 1, 1, 1, 1, 1, 2, 1]
+    assert scan["all_trivial"] is True
+
+
 def test_witness_gcd_flag(capsys):
     code, out, err = run(
         capsys, "witness", "--m", "4", "--n", "6", "--max-degree", "1"
@@ -339,6 +350,17 @@ def test_klein_degenerate_dimensions(capsys):
 def test_threads_must_be_positive(capsys):
     code, out, err = run(capsys, "ball", "--radius", "1", "--threads", "0")
     assert code == 3 and "--threads" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_klein", crash)
+    code, out, err = run(capsys, "klein", "--w", "4", "--h", "3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_max_mem_budget(capsys, monkeypatch):

@@ -161,7 +161,7 @@ def test_realization_of_regular_action_is_clean(group_fixture):
     (bs_presentation(2, 3), bs_presentation(9, 10), s3_presentation(), Z_PRES),
     ids=("bs23", "bs910", "s3", "z"),
 )
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
 def test_enumerate_homs_matches_brute_force(presentation, k):
     got = enumerate_homs(presentation, k)
     relators = [r.letters for r in presentation.relators]
@@ -175,11 +175,39 @@ def test_enumerate_homs_matches_brute_force(presentation, k):
             assert h.permutation(rel) == identity
 
 
+@pytest.mark.parametrize("m, n", ((2, 3), (3, 4), (3, 5), (4, 5), (9, 10)))
+def test_enumerate_homs_matches_sympy_low_index(m, n):
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    free, a, b = free_group("a, b")
+    group = fp_groups.FpGroup(free, [a * b**m * a**-1 * b**-n])
+    want = [0] * 5
+    # sympy lists one subgroup per conjugacy class, all indices <= 5.
+    for table in fp_groups.low_index_subgroups(group, 5):
+        want[len(table.table) - 1] += 1
+    pres = bs_presentation(m, n)
+    assert [len(enumerate_homs(pres, k)) for k in range(1, 6)] == want
+
+
+def test_enumerate_homs_reaches_degree_eight():
+    # sympy counts 6 / 8 / 9 classes of index <= 6 / 7 / 8 for BS(9, 10).
+    pres = bs_presentation(9, 10)
+    assert len(enumerate_homs(pres, 7)) == 2
+    assert len(enumerate_homs(pres, 8)) == 1
+
+
 def test_enumerate_homs_argument_checks():
     with pytest.raises(ValueError, match="degree"):
         enumerate_homs(s3_presentation(), 0)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         enumerate_homs(s3_presentation(), 4, max_nodes=3)
+    message = str(info.value)
+    assert "degree 4" in message
+    assert "max_nodes=3 table entries" in message
+    assert "classes so far: 0" in message
+    with pytest.raises(ValueError, match="outside"):
+        enumerate_homs(Presentation(("x",), [word(((1, 1),))]), 2)
 
 
 def test_hom_payloads():
