@@ -179,11 +179,13 @@ def finite_ball_with_order(graph, v, radius):
         if not frontier:
             break
     renumber = {old: new for new, old in enumerate(order)}
+    # Each induced edge is seen from both ends; keep it from the lower one.
     edges = []
-    for a, b in graph.edges:
-        if a in renumber and b in renumber:
-            x, y = renumber[a], renumber[b]
-            edges.append((x, y) if x < y else (y, x))
+    for x, u in enumerate(order):
+        for w in graph.adjacency[u]:
+            y = renumber.get(w)
+            if y is not None and x < y:
+                edges.append((x, y))
     ball = RootedBall(
         vertex_count=len(order),
         radius=radius,

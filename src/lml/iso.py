@@ -3,13 +3,15 @@
 Rooted isomorphisms preserve the root and therefore distance from it, so
 the search only ever matches vertices of equal refined color, where colors
 start at (distance, degree) and are refined by neighbor color multisets.
-Color codes are ranked by sorted signature each round, which makes them
-invariant across relabelings; canonical keys exploit the same invariance.
+Each ball is refined on its own, once, by prepare().  The isomorphism
+searches and canonical_key accept a ball or its PreparedBall, so a caller
+matching many balls against one target refines the target once.  The
+searches keep their frames on explicit stacks, so ball size is bounded by
+memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -41,102 +43,117 @@ class RootedIso:
         return self
 
 
-def _rank(balls, sigs):
-    universe = sorted({s for per in sigs for s in per})
-    code = {s: i for i, s in enumerate(universe)}
-    return [[code[s] for s in per] for per in sigs]
+@dataclass(frozen=True, eq=False)
+class PreparedBall:
+    """A ball with the per-ball data every search reads, computed once.
+
+    colors are the refined color codes, cells[c] lists the vertices of
+    color c in ascending order, masks[v] is the neighbor bitmask of v, and
+    earlier[v] lists the neighbors u < v.  profile holds the signature set
+    of every refinement round plus the cell sizes: it is equal for
+    isomorphic balls, so a mismatch rejects a pair without searching.
+    """
+
+    ball: object
+    colors: list
+    cells: list
+    masks: list
+    earlier: list
+    profile: tuple
 
 
-def _refine(balls):
-    """Joint color refinement with relabeling-invariant color codes."""
-    sigs = [
-        [(b.dist[v], len(b.adjacency[v])) for v in range(b.vertex_count)]
-        for b in balls
-    ]
-    colors = _rank(balls, sigs)
+def prepare(ball):
+    """Refine one ball and index it for the searches; idempotent.
+
+    Color codes are ranked by sorted signature each round, so they are
+    invariant across relabelings and isomorphic balls get identical codes
+    without being refined together.  A round that splits no color ends the
+    refinement: ranking keeps the old color as the leading key, so the
+    codes would not change either.
+    """
+    if isinstance(ball, PreparedBall):
+        return ball
+    n = ball.vertex_count
+    adj = ball.adjacency
+    sigs = [(ball.dist[v], len(adj[v])) for v in range(n)]
+    rounds = []
     while True:
+        rounds.append(tuple(sorted(set(sigs))))
+        if len(rounds) > 1 and len(rounds[-1]) == len(rounds[-2]):
+            break
+        code = {s: i for i, s in enumerate(rounds[-1])}
+        colors = [code[s] for s in sigs]
         sigs = [
-            [
-                (
-                    colors[i][v],
-                    tuple(sorted(colors[i][w] for w in b.adjacency[v])),
-                )
-                for v in range(b.vertex_count)
-            ]
-            for i, b in enumerate(balls)
+            (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
+            for v in range(n)
         ]
-        new = _rank(balls, sigs)
-        if new == colors:
-            return colors
-        colors = new
+    cells = [[] for _ in rounds[-1]]
+    for v in range(n):
+        cells[colors[v]].append(v)
+    return PreparedBall(
+        ball=ball,
+        colors=colors,
+        cells=cells,
+        masks=[sum(1 << w for w in adj[v]) for v in range(n)],
+        earlier=[[u for u in adj[v] if u < v] for v in range(n)],
+        profile=(tuple(rounds), tuple(len(c) for c in cells)),
+    )
 
 
-def _masks(ball):
-    out = []
-    for v in range(ball.vertex_count):
-        m = 0
-        for w in ball.adjacency[v]:
-            m |= 1 << w
-        out.append(m)
-    return out
+def _search(p1, p2, first_only, forced=()):
+    """Rooted isomorphisms between two prepared balls, in lex order.
 
-
-def _search(b1, b2, first_only, forced=()):
-    n = b1.vertex_count
-    if n != b2.vertex_count or sorted(b1.dist) != sorted(b2.dist):
+    Source vertices are matched in stored (BFS) order, so every vertex
+    after the root already has a mapped neighbor constraining it.  The
+    first len(forced) source vertices may only go to forced[v].  The
+    frames (candidates left, targets used, required neighbor images) sit
+    on an explicit stack, so depth is not bounded by the recursion limit.
+    """
+    if p1 is not p2 and p1.profile != p2.profile:
         return []
+    n = p1.ball.vertex_count
     if n == 0:
         return [()]
-    c1, c2 = _refine([b1, b2])
-    by_color = defaultdict(list)
-    for t in range(n):
-        by_color[c2[t]].append(t)
-    counts = defaultdict(int)
-    for v in range(n):
-        counts[c1[v]] += 1
-    if any(len(by_color[c]) != k for c, k in counts.items()):
-        return []
-    adj2 = _masks(b2)
-    # Source vertices are processed in stored (BFS) order, so every vertex
-    # after the root already has a mapped neighbor constraining it.
-    found = []
+    c1, c2, cells2 = p1.colors, p2.colors, p2.cells
+    adj2, earlier = p2.masks, p1.earlier
     mapping = [-1] * n
-    earlier_nbrs = [
-        [u for u in b1.adjacency[v] if u < v] for v in range(n)
-    ]
+    found = []
 
-    def dfs(v, used_mask):
-        if v == n:
-            found.append(tuple(mapping))
-            return first_only
+    def frame(v, used):
         required = 0
-        for u in earlier_nbrs[v]:
+        for u in earlier[v]:
             required |= 1 << mapping[u]
-        if v < len(forced):
-            cands = (forced[v],)
-        else:
-            cands = by_color[c1[v]]
-        for t in cands:
-            bit = 1 << t
-            if used_mask & bit:
-                continue
-            if c2[t] != c1[v]:
-                continue
-            if adj2[t] & used_mask != required:
-                continue
-            mapping[v] = t
-            if dfs(v + 1, used_mask | bit):
-                return True
-            mapping[v] = -1
-        return False
+        cands = (forced[v],) if v < len(forced) else cells2[c1[v]]
+        return iter(cands), used, required
 
-    dfs(0, 0)
+    stack = [frame(0, 0)]
+    while stack:
+        v = len(stack) - 1
+        cands, used, required = stack[-1]
+        for t in cands:
+            if (
+                not (used >> t) & 1
+                and c2[t] == c1[v]
+                and adj2[t] & used == required
+            ):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = t
+        if v + 1 < n:
+            stack.append(frame(v + 1, used | (1 << t)))
+        else:
+            found.append(tuple(mapping))
+            if first_only:
+                break
     return found
 
 
 def rooted_isomorphisms(b1, b2):
     """All rooted isomorphisms b1 -> b2, in deterministic (lex) order."""
-    out = [RootedIso(b1, b2, m) for m in _search(b1, b2, first_only=False)]
+    p1, p2 = prepare(b1), prepare(b2)
+    out = [RootedIso(p1.ball, p2.ball, m) for m in _search(p1, p2, False)]
     if out:
         out[0].validate()
     return out
@@ -144,8 +161,9 @@ def rooted_isomorphisms(b1, b2):
 
 def first_rooted_isomorphism(b1, b2):
     """One witness isomorphism, or None; early-exits the search."""
-    res = _search(b1, b2, first_only=True)
-    return RootedIso(b1, b2, res[0]).validate() if res else None
+    p1, p2 = prepare(b1), prepare(b2)
+    res = _search(p1, p2, first_only=True)
+    return RootedIso(p1.ball, p2.ball, res[0]).validate() if res else None
 
 
 def rooted_automorphism_count(ball):
@@ -173,22 +191,17 @@ def automorphism_scan(ball, inner_radius):
     if any(dist[v] > dist[v + 1] for v in range(n - 1)):
         # The chain argument below needs the inner ball to be a prefix.
         raise ValueError("vertex order must be nondecreasing in distance")
-    colors = _refine([ball])[0]
-    cells = defaultdict(list)
-    for v in range(n):
-        cells[colors[v]].append(v)
+    p = prepare(ball)
     count = 1
     witness = None
     for i in range(n):
         orbit = 1
-        for t in cells[colors[i]]:
+        for t in p.cells[p.colors[i]]:
             if t <= i:
                 # t < i is already pointwise-fixed at this link, so it
                 # cannot also receive i; t == i is the identity branch.
                 continue
-            res = _search(
-                ball, ball, first_only=True, forced=tuple(range(i)) + (t,)
-            )
+            res = _search(p, p, first_only=True, forced=tuple(range(i)) + (t,))
             if res:
                 orbit += 1
                 if witness is None and dist[i] <= inner_radius:
@@ -212,63 +225,57 @@ def canonical_key(ball):
     Equal keys hold exactly for rooted-isomorphic balls.  The key is the
     lexicographically least row encoding over all orderings that list the
     refined color cells in invariant-code order; ties branch, with twin
-    vertices (equal neighborhoods) collapsed.
+    vertices (equal neighborhoods) collapsed, and a branch whose rows
+    already exceed the best complete encoding is cut.  Row pos has bit
+    pos-1-i set when the vertex is adjacent to the one placed at i.
     """
+    p = prepare(ball)
+    ball = p.ball
     n = ball.vertex_count
     if n == 0:
         return b"n=0"
-    colors = _refine([ball])[0]
-    cells = defaultdict(list)
-    for v in range(n):
-        cells[colors[v]].append(v)
-    cell_seq = []
-    for c in sorted(cells):
-        cell_seq.extend([c] * len(cells[c]))
-    adj = _masks(ball)
-    best_rows = None
-    best_order = None
+    cell_seq = [c for c, cell in enumerate(p.cells) for _ in cell]
+    adj, nbrs = p.masks, ball.adjacency
+    position = [0] * n
+    order, rows = [], []
+    best_rows = best_order = None
+    # Frame pos: (vertices placed before pos, their row at pos, the
+    # least-row candidates not yet tried, the ones already taken).
+    stack = []
 
-    def dfs(pos, used_mask, order, rows, tight):
-        nonlocal best_rows, best_order
-        if pos == n:
-            if best_rows is None or rows < best_rows:
-                best_rows = list(rows)
-                best_order = list(order)
-            return
-        cands = [v for v in cells[cell_seq[pos]] if not (used_mask >> v) & 1]
+    def open_frame(pos, used):
         scored = []
-        for v in cands:
-            row = 0
-            for i in range(pos):
-                if (adj[v] >> order[i]) & 1:
-                    row |= 1 << (pos - 1 - i)
-            scored.append((row, v))
-        min_row = min(row for row, _ in scored)
-        if tight and best_rows is not None:
-            if min_row > best_rows[pos]:
-                return
-            still_tight = min_row == best_rows[pos]
-        else:
-            still_tight = False
-        taken = []
-        for row, v in scored:
-            if row != min_row:
-                continue
-            twin = False
-            for u in taken:
-                if (adj[v] ^ adj[u]) & ~((1 << v) | (1 << u)) == 0:
-                    twin = True
-                    break
-            if twin:
-                continue
-            taken.append(v)
-            order.append(v)
-            rows.append(row)
-            dfs(pos + 1, used_mask | (1 << v), order, rows, still_tight)
-            order.pop()
-            rows.pop()
+        for v in p.cells[cell_seq[pos]]:
+            if not (used >> v) & 1:
+                row = 0
+                for u in nbrs[v]:
+                    if (used >> u) & 1:
+                        row |= 1 << (pos - 1 - position[u])
+                scored.append((row, v))
+        least = min(row for row, _ in scored)
+        if best_rows is None or rows + [least] <= best_rows[: pos + 1]:
+            choices = iter([v for r, v in scored if r == least])
+            stack.append((used, least, choices, []))
 
-    dfs(0, 0, [], [], True)
+    open_frame(0, 0)
+    while stack:
+        pos = len(stack) - 1
+        used, row, choices, taken = stack[-1]
+        del order[pos:], rows[pos:]
+        for v in choices:
+            if all((adj[v] ^ adj[u]) & ~((1 << v) | (1 << u)) for u in taken):
+                break
+        else:
+            stack.pop()
+            continue
+        taken.append(v)
+        position[v] = pos
+        order.append(v)
+        rows.append(row)
+        if pos + 1 < n:
+            open_frame(pos + 1, used | (1 << v))
+        elif best_rows is None or rows < best_rows:
+            best_rows, best_order = rows[:], order[:]
     dist_seq = ",".join(str(ball.dist[v]) for v in best_order)
     row_seq = ",".join(str(r) for r in best_rows)
     return f"n={n};dist={dist_seq};rows={row_seq}".encode()

@@ -1,10 +1,10 @@
 """Perfect finite local models and the fixing radius of a Cayley graph.
 
 verify_model checks that every vertex of a finite graph sees, at the given
-radius, exactly the ball around the identity in Cay(engine, S); vertex
-balls are deduplicated by canonical key, so the isomorphism search runs
-once per ball class.  fixing_radius scans outward for the radius at which
-every rooted ball automorphism pins the inner ball pointwise.
+radius, exactly the ball around the identity in Cay(engine, S), with one
+isomorphism search per vertex against the identity ball.  fixing_radius
+scans outward for the radius at which every rooted ball automorphism pins
+the inner ball pointwise.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .balls import (
     DEFAULT_MAX_VERTICES,
+    FiniteGraph,
     cayley_ball,
     finite_ball,
     is_connected,
@@ -21,6 +22,7 @@ from .iso import (
     automorphism_scan,
     canonical_key,
     first_rooted_isomorphism,
+    prepare,
 )
 
 
@@ -69,47 +71,38 @@ def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICE
     """Is the graph a perfect radius-r local model of Cay(engine, S)?
 
     Accepts iff the ball at every vertex is rooted-isomorphic to the ball
-    around the identity.  Connectivity is reported, never required.
+    around the identity.  Connectivity is reported, never required.  The
+    identity ball is refined once and every vertex ball is searched
+    against it in vertex order, stopping at the first that fails, so the
+    only class ever reported is the target's: its canonical key, vertex 0
+    as representative, and the lex-first isomorphism as witness.
     """
-    target = cayley_ball(engine, genset, radius, max_vertices)
-    target_key = canonical_key(target)
+    target = prepare(cayley_ball(engine, genset, radius, max_vertices))
+    # A private copy, so the adjacency it caches dies with the call rather
+    # than staying on the caller's graph.
+    graph = FiniteGraph(graph.vertex_count, graph.edges)
     connected = is_connected(graph)
-    class_order = []
-    members = {}
-    rep_balls = {}
+    classes = ()
+    rejection = None
     for v in range(graph.vertex_count):
         ball = finite_ball(graph, v, radius)
-        key = canonical_key(ball)
-        if key not in members:
-            members[key] = []
-            class_order.append(key)
-            rep_balls[key] = (v, ball)
-        members[key].append(v)
-    classes = []
-    for key in class_order:
-        rep, ball = rep_balls[key]
-        if key != target_key:
-            return ModelVerdict(
-                accepted=False,
-                radius=radius,
-                connected=connected,
-                vertex_count=graph.vertex_count,
-                classes=tuple(classes),
-                rejection=(
-                    rep,
-                    f"ball at vertex {rep} is not rooted-isomorphic to the "
-                    f"radius-{radius} ball at the identity",
-                ),
-            )
         witness = first_rooted_isomorphism(ball, target)
-        assert witness is not None, "canonical keys agree but no witness"
-        classes.append(ModelClass(key, rep, witness))
+        if witness is None:
+            rejection = (
+                v,
+                f"ball at vertex {v} is not rooted-isomorphic to the "
+                f"radius-{radius} ball at the identity",
+            )
+            break
+        if v == 0:
+            classes = (ModelClass(canonical_key(target), 0, witness),)
     return ModelVerdict(
-        accepted=True,
+        accepted=rejection is None,
         radius=radius,
         connected=connected,
         vertex_count=graph.vertex_count,
-        classes=tuple(classes),
+        classes=classes,
+        rejection=rejection,
     )
 
 
@@ -157,6 +150,7 @@ def fixing_radius(engine, genset, r, bound, max_vertices=DEFAULT_MAX_VERTICES):
         raise ValueError("bound must be at least r")
     counts = []
     witnesses = []
+    r0 = None
     for rho in range(r, bound + 1):
         ball = cayley_ball(engine, genset, rho, max_vertices)
         # Orbit-stabilizer count: the group is never listed out, so balls
@@ -164,18 +158,13 @@ def fixing_radius(engine, genset, r, bound, max_vertices=DEFAULT_MAX_VERTICES):
         count, moving = automorphism_scan(ball, r)
         counts.append((rho, count))
         if moving is None:
-            return FixingRadiusReport(
-                r=r,
-                bound=bound,
-                r0=rho,
-                automorphism_counts=tuple(counts),
-                moving_witnesses=tuple(witnesses),
-            )
+            r0 = rho
+            break
         witnesses.append((rho, moving.mapping))
     return FixingRadiusReport(
         r=r,
         bound=bound,
-        r0=None,
+        r0=r0,
         automorphism_counts=tuple(counts),
         moving_witnesses=tuple(witnesses),
     )

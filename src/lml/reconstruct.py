@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, finite_ball_with_order
-from .iso import rooted_isomorphisms
+from .iso import prepare, rooted_isomorphisms
 from .localmodel import verify_model
 from .words import LmlError, Word, concat, invert, word
 
@@ -165,9 +165,9 @@ def label_edges(graph, engine, genset, radius, verdict=None,
         verdict = verify_model(graph, engine, genset, radius, max_vertices)
     if not verdict.accepted:
         raise NotAModelError(f"not a radius-{radius} model: {verdict.rejection}")
-    target = cayley_ball(engine, genset, radius, max_vertices)
+    target = prepare(cayley_ball(engine, genset, radius, max_vertices))
     elem_vertex = {
-        engine.key(lbl): j for j, lbl in enumerate(target.element_labels)
+        engine.key(lbl): j for j, lbl in enumerate(target.ball.element_labels)
     }
     letter_of_vertex = {
         elem_vertex[engine.key(s)]: i for i, s in enumerate(genset.words)

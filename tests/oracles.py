@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and shares no code or data structures
-with the package: different algorithms, different representations.  Speed
-only matters enough for the test sizes.
+Everything here is deliberately naive and, apart from the last section,
+shares no code or data structures with the package: different algorithms,
+different representations.  Speed only matters enough for the test sizes.
 """
 
 import itertools
+
+from lml.balls import cayley_ball, finite_ball, is_connected
+from lml.iso import canonical_key, first_rooted_isomorphism
+from lml.localmodel import ModelClass, ModelVerdict
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +232,50 @@ def brute_hom_classes(n_gens, relators, k):
                 best = conj
         reps.add(best)
     return sorted(reps)
+
+
+# ---------------------------------------------------------------------------
+# perfect-model verdicts by classifying every vertex ball
+
+
+def classify_verify_model(graph, engine, genset, radius):
+    """verify_model by sorting every vertex ball into canonical-key classes.
+
+    The package's earlier algorithm, kept as a differential oracle for the
+    verdict bookkeeping: classes in order of first occurrence, rejection at
+    the first class whose key is not the identity ball's.  It shares the
+    ball builders and canonical_key with the package, so it checks which
+    vertex, class and witness a verdict reports, not the key itself.
+    """
+    target = cayley_ball(engine, genset, radius)
+    target_key = canonical_key(target)
+    class_order = []
+    rep_balls = {}
+    for v in range(graph.vertex_count):
+        ball = finite_ball(graph, v, radius)
+        key = canonical_key(ball)
+        if key not in rep_balls:
+            class_order.append(key)
+            rep_balls[key] = (v, ball)
+    classes = []
+    rejection = None
+    for key in class_order:
+        rep, ball = rep_balls[key]
+        if key != target_key:
+            rejection = (
+                rep,
+                f"ball at vertex {rep} is not rooted-isomorphic to the "
+                f"radius-{radius} ball at the identity",
+            )
+            break
+        classes.append(
+            ModelClass(key, rep, first_rooted_isomorphism(ball, target))
+        )
+    return ModelVerdict(
+        accepted=rejection is None,
+        radius=radius,
+        connected=is_connected(graph),
+        vertex_count=graph.vertex_count,
+        classes=tuple(classes),
+        rejection=rejection,
+    )

@@ -155,6 +155,30 @@ def test_finite_ball_order_maps_back():
         finite_ball(cycle_graph(3), 0, -1)
 
 
+def test_finite_ball_edges_match_all_edges_scan():
+    # The induced edges come from the ball's own adjacency lists; they must
+    # equal the edges found by scanning every edge of the graph.
+    rng = random.Random(2024)
+    for graph in (torus_grid(7, 9), fixture_klein(8, 5), torus_grid(4, 3)):
+        perm = list(range(graph.vertex_count))
+        rng.shuffle(perm)
+        g = FiniteGraph(
+            graph.vertex_count,
+            tuple(tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges),
+        )
+        for _ in range(12):
+            v = rng.randrange(g.vertex_count)
+            r = rng.randrange(5)
+            ball, order = finite_ball_with_order(g, v, r)
+            renumber = {old: new for new, old in enumerate(order)}
+            scanned = sorted(
+                tuple(sorted((renumber[a], renumber[b])))
+                for a, b in g.edges
+                if a in renumber and b in renumber
+            )
+            assert ball.edges == tuple(scanned)
+
+
 def test_finite_ball_bfs_order_sorted_by_distance():
     rng = random.Random(8)
     for _ in range(50):

@@ -12,7 +12,7 @@ from oracles import brute_hom_classes
 from lml.balls import parse_graph, parse_rooted_ball, render_graph
 from lml import cli
 from lml.cli import main
-from lml.fixtures import cycle_graph
+from lml.fixtures import cycle_graph, torus_grid
 
 
 def run(capsys, *argv):
@@ -120,6 +120,20 @@ def test_verify_rejects_short_cycle(capsys, cycle_file):
     assert code == 1
     assert doc["accepted"] is False
     assert doc["rejection"]["vertex"] == 0
+
+
+def test_verify_large_balls_give_a_verdict(capsys, tmp_path):
+    # 1,105-vertex balls once ended in RecursionError, exit 4.  The 47-wide
+    # torus is one short of 2r+2, so every ball wraps and vertex 0 fails.
+    path = tmp_path / "t47x48.graph"
+    path.write_text(render_graph(torus_grid(47, 48)))
+    code, doc, _ = run_json(
+        capsys,
+        "verify", "--engine", "zd", "--d", "2",
+        "--graph", str(path), "--radius", "23",
+    )
+    assert code == 1
+    assert doc["rejection"]["vertex"] == 0 and doc["classes"] == []
 
 
 def test_verify_missing_graph_file(capsys, tmp_path):

@@ -13,6 +13,7 @@ from lml.iso import (
     automorphism_scan,
     canonical_key,
     first_rooted_isomorphism,
+    prepare,
     restricts_trivially,
     rooted_automorphism_count,
     rooted_isomorphisms,
@@ -257,6 +258,101 @@ def test_torus_and_klein_balls_match_z2():
         finite_ball(torus_grid(8, 8), 0, 2), model
     )
     assert len(got) == 8
+
+
+# ---------------------------------------------------------------------------
+# prepared balls and large balls
+
+
+def test_prepared_balls_give_the_same_answers():
+    rng = random.Random(8080)
+    for _ in range(30):
+        b1 = random_ball(rng, rng.randrange(3, 9))
+        other = random_ball(rng, b1.vertex_count)
+        b2 = rng.choice((relabeled_copy(b1, rng), other))
+        p1, p2 = prepare(b1), prepare(b2)
+        assert prepare(p1) is p1
+        want = [phi.mapping for phi in rooted_isomorphisms(b1, b2)]
+        assert [phi.mapping for phi in rooted_isomorphisms(p1, p2)] == want
+        one = first_rooted_isomorphism(b1, p2)
+        assert (one.mapping if one else None) == (want[0] if want else None)
+        if one:
+            assert one.source is b1 and one.target is b2
+        assert canonical_key(p1) == canonical_key(b1)
+
+
+def test_searches_do_not_recurse_on_large_balls():
+    # More than a thousand vertices used to exhaust the recursion limit.
+    b = z2_ball(23)
+    assert b.vertex_count == 1105
+    autos = rooted_isomorphisms(b, b)
+    assert len(autos) == 8
+    for phi in autos:
+        phi.validate()
+    path = path_ball(600)
+    assert path.vertex_count == 1201
+    key = canonical_key(path)
+    assert key.startswith(b"n=1201;")
+    assert canonical_key(relabeled_copy(path, random.Random(3))) == key
+    assert automorphism_scan(path, 1)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# networkx as an independent oracle
+
+
+def cone(ring_edges, size):
+    """Root 0 joined to every vertex of a graph on 1..size."""
+    edges = tuple((0, v) for v in range(1, size + 1)) + tuple(ring_edges)
+    return RootedBall(size + 1, 1, (0,) + (1,) * size, edges)
+
+
+def test_existence_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(ball):
+        g = nx.Graph()
+        g.add_nodes_from((v, {"dist": d}) for v, d in enumerate(ball.dist))
+        g.add_edges_from(ball.edges)
+        return g
+
+    def same_dist(a, b):
+        return a["dist"] == b["dist"]
+
+    def degrees(ball):
+        return sorted(ball.degree(v) for v in range(ball.vertex_count))
+
+    def swapped(ball, seed):
+        """Degree-preserving edge swaps, rerooted; None if disconnected."""
+        g = nx.Graph(list(ball.edges))
+        try:
+            nx.double_edge_swap(g, nswap=2, max_tries=200, seed=seed)
+        except nx.NetworkXException:
+            return None
+        n = ball.vertex_count
+        edges = tuple(tuple(sorted(e)) for e in g.edges())
+        out = finite_ball(FiniteGraph(n, edges), 0, n)
+        return out if out.vertex_count == n else None
+
+    hexagon = cone(((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)), 6)
+    triangles = cone(((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)), 6)
+    pairs = [(hexagon, triangles), (hexagon, hexagon)]
+    rng = random.Random(9191)
+    for _ in range(150):
+        b1 = random_ball(rng, rng.randrange(4, 10), radius=9)
+        pairs.append((b1, relabeled_copy(b1, rng)))
+        pairs.append((b1, random_ball(rng, b1.vertex_count, radius=9)))
+        b2 = swapped(b1, rng.randrange(2**32))
+        if b2 is not None:
+            pairs.append((b1, b2))
+    tricky = 0
+    for b1, b2 in pairs:
+        want = nx.is_isomorphic(to_nx(b1), to_nx(b2), node_match=same_dist)
+        assert (first_rooted_isomorphism(b1, b2) is not None) == want
+        if not want and degrees(b1) == degrees(b2):
+            tricky += 1
+    # Non-isomorphic pairs that a degree sequence cannot tell apart.
+    assert tricky >= 20
 
 
 # ---------------------------------------------------------------------------

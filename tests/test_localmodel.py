@@ -1,8 +1,10 @@
 """Perfect local model verification and the fixing-radius scan."""
 
 import json
+import random
 
 import pytest
+from oracles import classify_verify_model
 
 from lml.balls import FiniteGraph, cayley_ball
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
@@ -15,6 +17,21 @@ def two_hexagons():
     ring = cycle_graph(6).edges
     shifted = tuple((u + 6, v + 6) for u, v in ring)
     return FiniteGraph(12, ring + shifted)
+
+
+def disjoint_union(g, h):
+    n = g.vertex_count
+    shifted = tuple((u + n, v + n) for u, v in h.edges)
+    return FiniteGraph(n + h.vertex_count, g.edges + shifted)
+
+
+def relabeled(graph, rng):
+    perm = list(range(graph.vertex_count))
+    rng.shuffle(perm)
+    return FiniteGraph(
+        graph.vertex_count,
+        tuple(tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +116,67 @@ def test_verdict_jsonable_shape_and_determinism(z_setup):
     rej = verify_model(cycle_graph(5), engine, genset, 2).to_jsonable()
     assert rej["rejection"]["vertex"] == 0
     assert "not rooted-isomorphic" in rej["rejection"]["reason"]
+
+
+def assert_same_verdict(graph, engine, genset, radius):
+    got = verify_model(graph, engine, genset, radius)
+    want = classify_verify_model(graph, engine, genset, radius)
+    assert json.dumps(got.to_jsonable(), sort_keys=True) == json.dumps(
+        want.to_jsonable(), sort_keys=True
+    )
+    return got
+
+
+def test_verdicts_match_classifying_oracle_on_cycles(z_setup):
+    engine, genset = z_setup
+    seen = set()
+    for n in range(3, 10):
+        for r in (1, 2, 3):
+            verdict = assert_same_verdict(cycle_graph(n), engine, genset, r)
+            seen.add(verdict.accepted)
+    assert seen == {True, False}
+
+
+def test_verdicts_match_classifying_oracle_on_lattice_quotients(z2_setup):
+    engine, genset, _ = z2_setup
+    rng = random.Random(60606)
+    seen = set()
+    for w, h in ((4, 6), (6, 6), (6, 7), (8, 5), (3, 8)):
+        for r in (1, 2):
+            graphs = [torus_grid(w, h)]
+            if w % 2 == 0:
+                graphs.append(fixture_klein(w, h))
+            for graph in graphs:
+                verdict = assert_same_verdict(
+                    relabeled(graph, rng), engine, genset, r
+                )
+                seen.add(verdict.accepted)
+    assert seen == {True, False}
+
+
+def test_rejection_past_vertex_zero_keeps_the_target_class(z_setup, z2_setup):
+    engine, genset = z_setup
+    graph = disjoint_union(cycle_graph(8), cycle_graph(5))
+    verdict = assert_same_verdict(graph, engine, genset, 2)
+    assert verdict.rejection[0] == 8
+    (cls,) = verdict.classes
+    assert cls.representative == 0
+    cls.witness.validate()
+
+    # A torus with one edge cut, relabelled so the first bad ball lands
+    # somewhere past vertex 0.
+    engine, genset, _ = z2_setup
+    rng = random.Random(7)
+    torus = torus_grid(8, 8)
+    cut = FiniteGraph(torus.vertex_count, torus.edges[1:])
+    checked = 0
+    for _ in range(10):
+        verdict = assert_same_verdict(relabeled(cut, rng), engine, genset, 2)
+        assert not verdict.accepted
+        if verdict.rejection[0] > 0:
+            assert len(verdict.classes) == 1
+            checked += 1
+    assert checked
 
 
 def test_verify_model_respects_vertex_cap(bs_setup):
