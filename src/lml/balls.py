@@ -93,9 +93,6 @@ class RootedBall:
     def degree(self, v):
         return len(self.adjacency[v])
 
-    def vertices_within(self, r):
-        return [v for v in range(self.vertex_count) if self.dist[v] <= r]
-
 
 def sphere_sizes(ball):
     """Vertex counts by distance 0..radius (zeros once the group saturates)."""
@@ -109,7 +106,8 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     """Ball of the given radius around the identity in Cay(engine, genset).
 
     Vertices are numbered in BFS order (ties: genset index, then discovery
-    order); vertex 0 is the identity.  Edges are all pairs {u, u*s} with
+    order); vertex 0 is the identity, so for a validated S and radius >= 1
+    vertex i + 1 is S-letter i.  Edges are all pairs {u, u*s} with
     both endpoints inside the ball, including sphere-to-sphere edges.
     """
     if radius < 0:
@@ -118,32 +116,28 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     keys = {engine.key(identity): 0}
     labels = [identity]
     dist = [0]
-    frontier = [0]
-    for d in range(radius):
-        nxt = []
-        for u in frontier:
-            for s in genset.words:
-                prod = engine.multiply(labels[u], s)
-                k = engine.key(prod)
-                if k not in keys:
-                    if len(labels) >= max_vertices:
-                        raise ResourceLimitError(
-                            f"ball exceeds max_vertices={max_vertices}"
-                        )
-                    keys[k] = len(labels)
-                    labels.append(prod)
-                    dist.append(d + 1)
-                    nxt.append(keys[k])
-        frontier = nxt
-        if not frontier:
-            break
     edges = set()
-    for u in range(len(labels)):
+    # One product per (vertex, letter) finds both the new vertices and the
+    # edges; vertices at the radius still look for sphere-to-sphere edges.
+    u = 0
+    while u < len(labels):
         for s in genset.words:
-            k = engine.key(engine.multiply(labels[u], s))
+            prod = engine.multiply(labels[u], s)
+            k = engine.key(prod)
             v = keys.get(k)
-            if v is not None and v != u:
+            if v is None:
+                if dist[u] == radius:
+                    continue
+                if len(labels) >= max_vertices:
+                    raise ResourceLimitError(
+                        f"ball exceeds max_vertices={max_vertices}"
+                    )
+                v = keys[k] = len(labels)
+                labels.append(prod)
+                dist.append(dist[u] + 1)
+            if v != u:
                 edges.add((u, v) if u < v else (v, u))
+        u += 1
     return RootedBall(
         vertex_count=len(labels),
         radius=radius,
@@ -242,13 +236,15 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
 
 
 def is_connected(graph):
+    """Is the graph connected?  Caches no adjacency on the graph."""
     if graph.vertex_count == 0:
         return True
+    adjacency = _adjacency(graph.vertex_count, graph.edges)
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in graph.adjacency[u]:
+        for w in adjacency[u]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -279,70 +275,66 @@ def _graph_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line
+            yield lineno, line.split()
 
 
-def parse_graph(text):
+def _header_and_edges(lines, empty_message):
+    """(n, edges) from an `n m` header line and m `u v` edge lines."""
     header = None
     edges = []
-    for lineno, line in _graph_lines(text):
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise ParseError("expected `n m` header", line=lineno)
-            header = (int(parts[0]), int(parts[1]))
-            continue
+    for lineno, parts in lines:
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ParseError("expected `u v` edge line", line=lineno)
-        edges.append((int(parts[0]), int(parts[1])))
+            expected = "`n m` header" if header is None else "`u v` edge line"
+            raise ParseError(f"expected {expected}", line=lineno)
+        if header is None:
+            header = (int(parts[0]), int(parts[1]))
+        else:
+            edges.append((int(parts[0]), int(parts[1])))
     if header is None:
-        raise ParseError("empty graph file")
+        raise ParseError(empty_message)
     n, m = header
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file has {len(edges)}")
+    return n, tuple(edges)
+
+
+def parse_graph(text):
+    n, edges = _header_and_edges(_graph_lines(text), "empty graph file")
     try:
-        return FiniteGraph(n, tuple(edges))
+        return FiniteGraph(n, edges)
     except ValueError as err:
         raise ParseError(str(err))
 
 
 def parse_rooted_ball(text):
-    header = None
-    edges = []
-    root = None
-    radius = None
-    dist = None
-    for lineno, line in _graph_lines(text):
-        parts = line.split()
-        if parts[0] == "root":
-            root = int(parts[1])
-            if root != 0:
+    """A graph file plus `root 0`, `radius r` and `dist d0 d1 ...` lines."""
+    found = {}
+
+    def edge_lines():
+        for lineno, parts in _graph_lines(text):
+            key, values = parts[0], parts[1:]
+            if key not in ("root", "radius", "dist"):
+                yield lineno, parts
+            elif not all(p.isdigit() for p in values) or (
+                key != "dist" and len(values) != 1
+            ):
+                raise ParseError(
+                    f"expected `{key}` and non-negative integers", line=lineno
+                )
+            elif key == "root" and int(values[0]) != 0:
                 raise ParseError("root must be vertex 0", line=lineno)
-            continue
-        if parts[0] == "radius":
-            radius = int(parts[1])
-            continue
-        if parts[0] == "dist":
-            dist = tuple(int(p) for p in parts[1:])
-            continue
-        if header is None:
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise ParseError("expected `n m` header", line=lineno)
-            header = (int(parts[0]), int(parts[1]))
-            continue
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ParseError("expected `u v` edge line", line=lineno)
-        edges.append((int(parts[0]), int(parts[1])))
-    if header is None:
-        raise ParseError("empty ball file")
-    n, m = header
-    if len(edges) != m:
-        raise ParseError(f"header promises {m} edges, file has {len(edges)}")
-    if dist is None:
+            else:
+                found[key] = (lineno, tuple(int(p) for p in values))
+
+    n, edges = _header_and_edges(edge_lines(), "empty ball file")
+    if "dist" not in found:
         raise ParseError("missing dist line")
-    if radius is None:
-        radius = max(dist, default=0)
+    dist_line, dist = found["dist"]
+    deepest = max(dist, default=0)
+    radius = found["radius"][1][0] if "radius" in found else deepest
+    if deepest > radius:
+        raise ParseError(f"dist exceeds radius {radius}", line=dist_line)
     try:
-        return RootedBall(n, radius, dist, tuple(edges))
+        return RootedBall(n, radius, dist, edges)
     except ValueError as err:
         raise ParseError(str(err))

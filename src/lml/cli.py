@@ -290,12 +290,6 @@ def cmd_klein(args):
 def _add_common(p):
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="parallelism cap (reserved; execution is sequential)",
-    )
 
 
 def _add_engine(p):
@@ -394,11 +388,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:
+        # argparse exits 2 on a usage error, but 2 means a resource cap here.
+        return EXIT_INPUT if done.code == 2 else done.code
     try:
         return args.handler(args)
     except (ResourceLimitError, IndexExceedsBound) as err:

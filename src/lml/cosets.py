@@ -28,6 +28,7 @@ from .words import (
     Word,
     _perm_compose,
     _perm_inverse,
+    _word_permutation,
     bs_presentation,
     bs_s10_setup,
     word,
@@ -307,12 +308,7 @@ class FiniteQuotientHom:
         return tuple(_perm_inverse(p) for p in self.images)
 
     def permutation(self, w):
-        acc = tuple(range(self.degree))
-        for g, e in w.letters:
-            base = self.images[g] if e > 0 else self._inverses[g]
-            for _ in range(abs(e)):
-                acc = _perm_compose(acc, base)
-        return acc
+        return _word_permutation(w, self.degree, self.images, self._inverses)
 
     def is_transitive(self):
         reached = {0}

@@ -174,9 +174,9 @@ def rooted_automorphism_count(ball):
 def automorphism_scan(ball, inner_radius):
     """Exact rooted-automorphism count, without enumerating the group.
 
-    Returns (count, witness) where witness is a RootedIso moving some
-    vertex at distance <= inner_radius, or None if every automorphism
-    fixes that inner ball pointwise.
+    Takes a ball or its PreparedBall.  Returns (count, witness) where
+    witness is a RootedIso moving some vertex at distance <= inner_radius,
+    or None if every automorphism fixes that inner ball pointwise.
 
     Walks the stabilizer chain along the stored vertex order: the count
     is the product of the orbit sizes, and each orbit is probed with one
@@ -184,6 +184,8 @@ def automorphism_scan(ball, inner_radius):
     automorphism groups (many interchangeable leaves) stay cheap because
     the count is never materialized as a list of maps.
     """
+    p = prepare(ball)
+    ball = p.ball
     n = ball.vertex_count
     if n == 0:
         return 1, None
@@ -191,7 +193,6 @@ def automorphism_scan(ball, inner_radius):
     if any(dist[v] > dist[v + 1] for v in range(n - 1)):
         # The chain argument below needs the inner ball to be a prefix.
         raise ValueError("vertex order must be nondecreasing in distance")
-    p = prepare(ball)
     count = 1
     witness = None
     for i in range(n):

@@ -2,9 +2,9 @@
 
 verify_model checks that every vertex of a finite graph sees, at the given
 radius, exactly the ball around the identity in Cay(engine, S), with one
-isomorphism search per vertex against the identity ball.  fixing_radius
-scans outward for the radius at which every rooted ball automorphism pins
-the inner ball pointwise.
+isomorphism search per vertex against the identity ball (vertex_witnesses,
+shared with edge labeling).  fixing_radius scans outward for the radius at
+which every rooted ball automorphism pins the inner ball pointwise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .balls import (
     DEFAULT_MAX_VERTICES,
     FiniteGraph,
     cayley_ball,
-    finite_ball,
+    finite_ball_with_order,
     is_connected,
 )
 from .iso import (
@@ -24,6 +24,15 @@ from .iso import (
     first_rooted_isomorphism,
     prepare,
 )
+from .words import LmlError
+
+
+class NotAModelError(LmlError):
+    """A vertex ball does not match; rejection is (vertex, reason)."""
+
+    def __init__(self, rejection):
+        self.rejection = rejection
+        super().__init__(rejection[1])
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,28 @@ class ModelVerdict:
         }
 
 
+def vertex_witnesses(graph, target, radius):
+    """Match each vertex ball against the prepared target, in vertex order.
+
+    Yields (vertex, order, witness): order[ball vertex] is the graph
+    vertex, and witness is the lex-first rooted isomorphism from the ball
+    onto the target.  Raises NotAModelError at the first vertex whose ball
+    does not match.  The balls are cut from a private copy of the graph,
+    so the adjacency it caches does not stay on the caller's graph.
+    """
+    graph = FiniteGraph(graph.vertex_count, graph.edges)
+    for v in range(graph.vertex_count):
+        ball, order = finite_ball_with_order(graph, v, radius)
+        witness = first_rooted_isomorphism(ball, target)
+        if witness is None:
+            raise NotAModelError((
+                v,
+                f"ball at vertex {v} is not rooted-isomorphic to the "
+                f"radius-{radius} ball at the identity",
+            ))
+        yield v, order, witness
+
+
 def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     """Is the graph a perfect radius-r local model of Cay(engine, S)?
 
@@ -78,28 +109,18 @@ def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICE
     as representative, and the lex-first isomorphism as witness.
     """
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
-    # A private copy, so the adjacency it caches dies with the call rather
-    # than staying on the caller's graph.
-    graph = FiniteGraph(graph.vertex_count, graph.edges)
-    connected = is_connected(graph)
     classes = ()
     rejection = None
-    for v in range(graph.vertex_count):
-        ball = finite_ball(graph, v, radius)
-        witness = first_rooted_isomorphism(ball, target)
-        if witness is None:
-            rejection = (
-                v,
-                f"ball at vertex {v} is not rooted-isomorphic to the "
-                f"radius-{radius} ball at the identity",
-            )
-            break
-        if v == 0:
-            classes = (ModelClass(canonical_key(target), 0, witness),)
+    try:
+        for v, _, witness in vertex_witnesses(graph, target, radius):
+            if v == 0:
+                classes = (ModelClass(canonical_key(target), 0, witness),)
+    except NotAModelError as err:
+        rejection = err.rejection
     return ModelVerdict(
         accepted=rejection is None,
         radius=radius,
-        connected=connected,
+        connected=is_connected(graph),
         vertex_count=graph.vertex_count,
         classes=classes,
         rejection=rejection,

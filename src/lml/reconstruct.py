@@ -17,14 +17,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, finite_ball_with_order
-from .iso import prepare, rooted_isomorphisms
-from .localmodel import verify_model
+from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, is_connected
+from .iso import automorphism_scan, prepare, rooted_isomorphisms
+from .localmodel import NotAModelError, vertex_witnesses
 from .words import LmlError, Word, concat, invert, word
 
-
-class NotAModelError(LmlError):
-    """Labeling was asked for a graph that fails model verification."""
+# Labels are read off the isomorphisms within this distance of each vertex,
+# so two isomorphisms that differ there make the labeling ambiguous.
+LABEL_RADIUS = 2
 
 
 class NotRegularError(LmlError):
@@ -114,17 +114,17 @@ class SchreierGraph:
 
 @dataclass(frozen=True)
 class AmbiguousLabeling:
-    """Two ball isomorphisms at `vertex` that differ within radius 2."""
+    """Two ball isomorphisms at `vertex` that differ within LABEL_RADIUS."""
 
     vertex: int
     first: object
     second: object
 
     def disagreement(self):
-        """A ball vertex at distance <= 2 where the two maps differ."""
+        """A ball vertex within LABEL_RADIUS where the two maps differ."""
         ball = self.first.source
         for x in range(ball.vertex_count):
-            if ball.dist[x] <= 2 and self.first.mapping[x] != self.second.mapping[x]:
+            if ball.dist[x] <= LABEL_RADIUS and self.first.mapping[x] != self.second.mapping[x]:
                 return x
         return None
 
@@ -148,44 +148,37 @@ class LabelInconsistency:
         return {"edge": list(self.edge), "detail": self.detail}
 
 
-def label_edges(graph, engine, genset, radius, verdict=None,
+def label_edges(graph, engine, genset, radius,
                 max_vertices=DEFAULT_MAX_VERTICES):
     """Label each directed edge of a verified model by its S-letter.
 
-    For every vertex the rooted isomorphisms from its ball onto the
-    identity ball must agree on the radius-2 restriction; the first
-    disagreement is returned as AmbiguousLabeling.  The labeling then
-    sends neighbor w of v to the unique s with phi_v(w) = s, and the
-    reverse edge must carry the paired inverse letter (LabelInconsistency
-    otherwise).  Pass the verifier's verdict to skip re-verification.
+    One walk over the vertex balls verifies the model (NotAModelError at
+    the first ball that does not match) and labels edge (v, w) by the s
+    with phi_v(w) = s, phi_v being the lex-first isomorphism onto the
+    identity ball.  Two such isomorphisms differ by an automorphism of the
+    identity ball, so one automorphism scan decides for every vertex
+    whether they agree within LABEL_RADIUS; if not, vertex 0 is reported
+    as AmbiguousLabeling.  The reverse edge must carry the paired inverse
+    letter (LabelInconsistency otherwise).
     """
     if radius < 1:
         raise ValueError("edge labeling needs radius >= 1")
-    if verdict is None:
-        verdict = verify_model(graph, engine, genset, radius, max_vertices)
-    if not verdict.accepted:
-        raise NotAModelError(f"not a radius-{radius} model: {verdict.rejection}")
+    if graph.vertex_count == 0:
+        raise ValueError("graph has no vertices")
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
-    elem_vertex = {
-        engine.key(lbl): j for j, lbl in enumerate(target.ball.element_labels)
-    }
-    letter_of_vertex = {
-        elem_vertex[engine.key(s)]: i for i, s in enumerate(genset.words)
-    }
     labels = {}
-    for v in range(graph.vertex_count):
-        ball, order = finite_ball_with_order(graph, v, radius)
-        isos = rooted_isomorphisms(ball, target)
-        if not isos:
-            raise NotAModelError(f"ball at vertex {v} does not match the target")
-        ref = isos[0]
-        for phi in isos[1:]:
-            for x in range(ball.vertex_count):
-                if ball.dist[x] <= 2 and phi.mapping[x] != ref.mapping[x]:
-                    return AmbiguousLabeling(v, ref, phi)
-        rev = {g: i for i, g in enumerate(order)}
-        for w in graph.adjacency[v]:
-            labels[(v, w)] = letter_of_vertex[ref.mapping[rev[w]]]
+    for v, order, witness in vertex_witnesses(graph, target, radius):
+        if v == 0:
+            ball0 = witness.source
+        for x in witness.source.adjacency[0]:
+            # The identity ball numbers S-letter i as vertex i + 1.
+            labels[(v, order[x])] = witness.mapping[x] - 1
+    if automorphism_scan(target, LABEL_RADIUS)[1] is not None:
+        ref, *rest = rooted_isomorphisms(ball0, target)
+        for phi in rest:
+            ambiguity = AmbiguousLabeling(0, ref, phi)
+            if ambiguity.disagreement() is not None:
+                return ambiguity
     for (v, w), i in labels.items():
         back = labels[(w, v)]
         if back != genset.inverse_pairing[i]:
@@ -407,22 +400,22 @@ class ReconstructionResult:
 
 def reconstruct(graph, engine, genset, presentation, radius,
                 max_vertices=DEFAULT_MAX_VERTICES):
-    """Full pipeline: verify, label, build the action, check, stabilize.
+    """Full pipeline: verify and label, build the action, check, stabilize.
 
-    On success the action's underlying simple graph equals the input
+    Outcomes take precedence in the order not_a_model, disconnected,
+    ambiguous_labeling, label_inconsistency, relator_violation.  On
+    success the action's underlying simple graph equals the input
     edge-for-edge and the stabilizer has index |V| (the action is
     transitive because the graph is connected).
     """
     if radius < 1:
         raise ValueError("reconstruction needs radius >= 1")
-    verdict = verify_model(graph, engine, genset, radius, max_vertices)
-    if not verdict.accepted:
-        return ReconstructionResult("not_a_model", rejection=verdict.rejection)
-    if not verdict.connected:
+    try:
+        labeled = label_edges(graph, engine, genset, radius, max_vertices)
+    except NotAModelError as err:
+        return ReconstructionResult("not_a_model", rejection=err.rejection)
+    if not is_connected(graph):
         return ReconstructionResult("disconnected")
-    labeled = label_edges(
-        graph, engine, genset, radius, verdict=verdict, max_vertices=max_vertices
-    )
     if isinstance(labeled, AmbiguousLabeling):
         return ReconstructionResult("ambiguous_labeling", ambiguity=labeled)
     if isinstance(labeled, LabelInconsistency):

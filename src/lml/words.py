@@ -382,6 +382,16 @@ def _perm_inverse(p):
     return tuple(out)
 
 
+def _word_permutation(w, degree, images, inverses):
+    """The permutation of {0..degree-1} that w acts by, letters left to right."""
+    acc = tuple(range(degree))
+    for g, e in w.letters:
+        base = images[g] if e > 0 else inverses[g]
+        for _ in range(abs(e)):
+            acc = _perm_compose(acc, base)
+    return acc
+
+
 class FinitePermutationEngine(GroupEngine):
     """Concrete finite group given by permutation images of the generators.
 
@@ -410,12 +420,7 @@ class FinitePermutationEngine(GroupEngine):
         self._table = None
 
     def permutation(self, w):
-        acc = self.identity
-        for g, e in w.letters:
-            base = self.images[g] if e > 0 else self._inverses[g]
-            for _ in range(abs(e)):
-                acc = _perm_compose(acc, base)
-        return acc
+        return _word_permutation(w, self.degree, self.images, self._inverses)
 
     def key(self, w):
         return self.permutation(w)
@@ -455,14 +460,6 @@ class FinitePermutationEngine(GroupEngine):
         if self._table is None:
             self._table = self._build_table()
         return len(self._table)
-
-
-def is_identity(engine, w):
-    return engine.is_identity(w)
-
-
-def multiply(engine, u, v):
-    return engine.multiply(u, v)
 
 
 # ---------------------------------------------------------------------------

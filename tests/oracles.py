@@ -1,15 +1,33 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last section,
-shares no code or data structures with the package: different algorithms,
-different representations.  Speed only matters enough for the test sizes.
+Everything here is deliberately naive and, apart from the last three
+sections, shares no code or data structures with the package: different
+algorithms, different representations.  Speed only matters enough for the
+test sizes.
 """
 
 import itertools
 
-from lml.balls import cayley_ball, finite_ball, is_connected
-from lml.iso import canonical_key, first_rooted_isomorphism
+from lml.balls import (
+    RootedBall,
+    cayley_ball,
+    finite_ball,
+    finite_ball_with_order,
+    is_connected,
+)
+from lml.iso import canonical_key, first_rooted_isomorphism, rooted_isomorphisms
 from lml.localmodel import ModelClass, ModelVerdict
+from lml.reconstruct import (
+    AmbiguousLabeling,
+    EdgeLabeling,
+    LabelInconsistency,
+    ReconstructionResult,
+    build_action,
+    check_factors,
+    present_on_S,
+    stabilizer,
+)
+from lml.words import word
 
 
 # ---------------------------------------------------------------------------
@@ -278,4 +296,109 @@ def classify_verify_model(graph, engine, genset, radius):
         vertex_count=graph.vertex_count,
         classes=tuple(classes),
         rejection=rejection,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cayley balls by a discovery pass and a separate edge pass
+
+
+def two_pass_cayley_ball(engine, genset, radius):
+    """cayley_ball as the package built it before recording edges in its
+    breadth-first search: discover the vertices, then multiply every
+    vertex by every letter again to collect the edges."""
+    identity = engine.normal_form(word())
+    keys = {engine.key(identity): 0}
+    labels = [identity]
+    dist = [0]
+    frontier = [0]
+    for d in range(radius):
+        nxt = []
+        for u in frontier:
+            for s in genset.words:
+                prod = engine.multiply(labels[u], s)
+                k = engine.key(prod)
+                if k not in keys:
+                    keys[k] = len(labels)
+                    labels.append(prod)
+                    dist.append(d + 1)
+                    nxt.append(keys[k])
+        frontier = nxt
+    edges = set()
+    for u in range(len(labels)):
+        for s in genset.words:
+            v = keys.get(engine.key(engine.multiply(labels[u], s)))
+            if v is not None and v != u:
+                edges.add((min(u, v), max(u, v)))
+    return RootedBall(len(labels), radius, dist, tuple(edges), tuple(labels))
+
+
+# ---------------------------------------------------------------------------
+# reconstruction by enumerating every isomorphism at every vertex
+
+
+def enumerate_label_edges(graph, engine, genset, radius):
+    """Edge labeling of an accepted model, checking every vertex for ambiguity.
+
+    The package's earlier label_edges: at each vertex it lists every
+    rooted isomorphism onto the identity ball and reports the first pair
+    that differs within distance 2, then labels from the lex-first one.
+    """
+    target = cayley_ball(engine, genset, radius)
+    elem_vertex = {engine.key(lbl): j for j, lbl in enumerate(target.element_labels)}
+    letter_of_vertex = {
+        elem_vertex[engine.key(s)]: i for i, s in enumerate(genset.words)
+    }
+    labels = {}
+    for v in range(graph.vertex_count):
+        ball, order = finite_ball_with_order(graph, v, radius)
+        isos = rooted_isomorphisms(ball, target)
+        ref = isos[0]
+        for phi in isos[1:]:
+            for x in range(ball.vertex_count):
+                if ball.dist[x] <= 2 and phi.mapping[x] != ref.mapping[x]:
+                    return AmbiguousLabeling(v, ref, phi)
+        rev = {g: i for i, g in enumerate(order)}
+        for w in graph.adjacency[v]:
+            labels[(v, w)] = letter_of_vertex[ref.mapping[rev[w]]]
+    for (v, w), i in labels.items():
+        back = labels[(w, v)]
+        if back != genset.inverse_pairing[i]:
+            return LabelInconsistency(
+                (v, w),
+                f"forward label {i} pairs with {genset.inverse_pairing[i]}, "
+                f"reverse edge carries {back}",
+            )
+    return EdgeLabeling(
+        vertex_count=graph.vertex_count,
+        genset_size=len(genset),
+        directed=tuple(sorted((v, w, i) for (v, w), i in labels.items())),
+    )
+
+
+def oracle_reconstruct(graph, engine, genset, presentation, radius):
+    """reconstruct as the package ran it before verifying and labeling in
+    one walk: classify_verify_model, then enumerate_label_edges, then the
+    package's action, relator and stabilizer steps."""
+    verdict = classify_verify_model(graph, engine, genset, radius)
+    if not verdict.accepted:
+        return ReconstructionResult("not_a_model", rejection=verdict.rejection)
+    if not verdict.connected:
+        return ReconstructionResult("disconnected")
+    labeled = enumerate_label_edges(graph, engine, genset, radius)
+    if isinstance(labeled, AmbiguousLabeling):
+        return ReconstructionResult("ambiguous_labeling", ambiguity=labeled)
+    if isinstance(labeled, LabelInconsistency):
+        return ReconstructionResult("label_inconsistency", inconsistency=labeled)
+    action = build_action(graph, labeled, genset)
+    relators, r_prime = present_on_S(presentation, genset, engine)
+    ok = check_factors(action, relators, genset.inverse_pairing)
+    if ok is not True:
+        return ReconstructionResult(
+            "relator_violation", labeling=labeled, action=action,
+            r_prime=r_prime, violation=ok,
+        )
+    return ReconstructionResult(
+        "success", labeling=labeled, action=action,
+        stabilizer_words=tuple(stabilizer(action, 0, genset)), r_prime=r_prime,
     )

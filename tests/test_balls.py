@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import two_pass_cayley_ball
 
 from lml.balls import (
     FiniteGraph,
@@ -103,6 +104,38 @@ def test_cayley_ball_labels_are_distinct_keys(bs_setup):
     keys = {engine.key(lbl) for lbl in ball.element_labels}
     assert len(keys) == ball.vertex_count
     assert engine.is_identity(ball.element_labels[0])
+
+
+class CountingEngine(FinitePermutationEngine):
+    multiplies = 0
+
+    def multiply(self, u, v):
+        self.multiplies += 1
+        return super().multiply(u, v)
+
+
+@pytest.mark.parametrize("radius", range(5))
+def test_cayley_ball_multiplies_once_per_vertex_and_letter(radius):
+    engine = CountingEngine(("a", "b"), ((1, 2, 3, 4, 5, 6, 0), (0, 4, 1, 5, 2, 6, 3)))
+    genset = validate_genset(
+        engine, [parse_word(t, engine.alphabet) for t in ("a", "a^-1", "b", "b^-1")]
+    )
+    ball = cayley_ball(engine, genset, radius)
+    assert engine.multiplies == ball.vertex_count * len(genset)
+    want = two_pass_cayley_ball(engine, genset, radius)
+    assert (ball.dist, ball.edges, ball.element_labels) == (
+        want.dist, want.edges, want.element_labels
+    )
+
+
+def test_cayley_ball_matches_two_pass_build(bs_setup):
+    engine, genset, _ = bs_setup
+    for radius in range(3):
+        ball = cayley_ball(engine, genset, radius)
+        want = two_pass_cayley_ball(engine, genset, radius)
+        assert (ball.dist, ball.edges, ball.element_labels) == (
+            want.dist, want.edges, want.element_labels
+        )
 
 
 def test_cayley_ball_respects_max_vertices(bs_setup):
@@ -316,3 +349,18 @@ def test_parse_rooted_ball_errors():
         parse_rooted_ball("2 1\n0 1\n")
     got = parse_rooted_ball("2 1\n0 1\ndist 0 1\n")
     assert got.radius == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2 1\n0 1\nroot\ndist 0 1\n", 3),
+        ("2 1\n0 1\nradius 0\ndist 0 1\n", 4),
+        ("2 1\n0 1\ndist 0 -1\n", 3),
+        ("2 1\nradius x\n0 1\ndist 0 1\n", 2),
+    ],
+)
+def test_parse_rooted_ball_bad_directives(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_rooted_ball(text)
+    assert info.value.line == line

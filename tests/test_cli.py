@@ -177,6 +177,18 @@ def test_reconstruct_not_a_model(capsys, cycle_file):
     assert code == 1 and doc["outcome"] == "not_a_model"
 
 
+def test_reconstruct_empty_graph_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("0 0\n")
+    code, out, err = run(
+        capsys,
+        "reconstruct", "--engine", "zd", "--d", "1",
+        "--graph", str(path), "--radius", "2",
+    )
+    assert code == 3 and out == ""
+    assert "graph has no vertices" in err
+
+
 # ---------------------------------------------------------------------------
 # r0 / distance
 
@@ -361,9 +373,13 @@ def test_klein_degenerate_dimensions(capsys):
     assert code == 3 and "error:" in err
 
 
-def test_threads_must_be_positive(capsys):
+def test_usage_errors_are_bad_input(capsys):
     code, out, err = run(capsys, "ball", "--radius", "1", "--threads", "0")
-    assert code == 3 and "--threads" in err
+    assert code == 3 and "unrecognized arguments: --threads 0" in err
+    code, out, err = run(capsys, "verify", "--radius", "2")
+    assert code == 3 and "--graph" in err
+    code, out, err = run(capsys, "verify", "--help")
+    assert code == 0 and "--graph" in out
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

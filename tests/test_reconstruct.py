@@ -2,11 +2,15 @@
 reconstruction pipeline."""
 
 import json
+import sys
 
 import pytest
+from conftest import ROUND_TRIP_FIXTURES
+from oracles import oracle_reconstruct
 
+from lml import balls, iso, localmodel
 from lml.balls import FiniteGraph, cayley_ball
-from lml.fixtures import cycle_graph
+from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.reconstruct import (
     AmbiguousLabeling,
     BaseLettersMissingError,
@@ -60,8 +64,13 @@ def test_label_edges_requires_radius_one(z_setup):
 
 def test_label_edges_rejects_non_model(z_setup):
     engine, genset = z_setup
-    with pytest.raises(NotAModelError):
+    with pytest.raises(NotAModelError) as info:
         label_edges(cycle_graph(5), engine, genset, 2)
+    assert info.value.rejection == (
+        0,
+        "ball at vertex 0 is not rooted-isomorphic to the radius-2 ball at "
+        "the identity",
+    )
 
 
 def test_label_edges_ambiguous_on_cycle(z_setup):
@@ -86,14 +95,6 @@ def test_label_edges_complete_on_rigid_fixture(group_fixture):
     pairing = genset.inverse_pairing
     for v, w, i in labeling.directed:
         assert labeling.label(w, v) == pairing[i]
-    # A precomputed verdict must not change the answer.
-    from lml.localmodel import verify_model
-
-    verdict = verify_model(graph, engine, genset, group_fixture.rigid_radius)
-    again = label_edges(
-        graph, engine, genset, group_fixture.rigid_radius, verdict=verdict
-    )
-    assert again.directed == labeling.directed
 
 
 def test_edge_labeling_validation():
@@ -248,6 +249,12 @@ def test_reconstruct_requires_radius(z_setup):
         reconstruct(cycle_graph(8), engine, genset, Z_PRESENTATION, 0)
 
 
+def test_reconstruct_rejects_empty_graph(z_setup):
+    engine, genset = z_setup
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        reconstruct(FiniteGraph(0, ()), engine, genset, Z_PRESENTATION, 2)
+
+
 def test_reconstruct_not_a_model(z_setup):
     engine, genset = z_setup
     res = reconstruct(cycle_graph(5), engine, genset, Z_PRESENTATION, 2)
@@ -326,3 +333,80 @@ def test_reconstruct_flags_wrong_twist():
     assert res.violation.vertex == 0
     assert res.violation.relator.letters == ((2, 1), (0, 1), (3, 1), (1, 2))
     assert res.action is not None and res.r_prime is not None
+
+
+# ---------------------------------------------------------------------------
+# one walk against the enumerate-every-isomorphism pipeline
+
+
+def disjoint_union(g, h):
+    n = g.vertex_count
+    return FiniteGraph(
+        n + h.vertex_count, g.edges + tuple((u + n, v + n) for u, v in h.edges)
+    )
+
+
+def differential_cases(z_setup, z2_setup):
+    engine, genset = z_setup
+    for n in range(3, 12):
+        for r in (1, 2, 3):
+            yield cycle_graph(n), engine, genset, Z_PRESENTATION, r
+    yield disjoint_union(cycle_graph(4), cycle_graph(4)), engine, genset, Z_PRESENTATION, 1
+    engine, genset, presentation = z2_setup
+    for w in range(3, 8):
+        for h in range(3, 8):
+            for r in (1, 2):
+                yield torus_grid(w, h), engine, genset, presentation, r
+                if w % 2 == 0:
+                    yield fixture_klein(w, h), engine, genset, presentation, r
+    for fx in ROUND_TRIP_FIXTURES:
+        engine, genset = fx.engine(), fx.genset()
+        graph = full_cayley_graph(fx)[3]
+        for r in (1, 2, 3):
+            for g in (graph, disjoint_union(graph, graph)):
+                yield g, engine, genset, fx.presentation(), r
+
+
+def test_reconstruct_matches_enumerating_oracle(z_setup, z2_setup):
+    outcomes = set()
+    for graph, engine, genset, presentation, r in differential_cases(
+        z_setup, z2_setup
+    ):
+        got = reconstruct(graph, engine, genset, presentation, r)
+        want = oracle_reconstruct(graph, engine, genset, presentation, r)
+        assert got.to_jsonable() == want.to_jsonable(), (graph.vertex_count, r)
+        outcomes.add(got.outcome)
+    assert outcomes == {
+        "success", "not_a_model", "disconnected", "ambiguous_labeling"
+    }
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to module.name through every lml namespace holding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "lml" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_reconstruct_builds_each_ball_once(monkeypatch):
+    fx = ROUND_TRIP_FIXTURES[2]
+    graph = full_cayley_graph(fx)[3]
+    targets = count_calls(monkeypatch, balls, "cayley_ball")
+    vertex_balls = count_calls(monkeypatch, balls, "finite_ball_with_order")
+    keys = count_calls(monkeypatch, iso, "canonical_key")
+    verdicts = count_calls(monkeypatch, localmodel, "verify_model")
+    res = reconstruct(
+        graph, fx.engine(), fx.genset(), fx.presentation(), fx.rigid_radius
+    )
+    assert res.succeeded
+    assert len(targets) == 1
+    assert len(vertex_balls) == graph.vertex_count
+    assert keys == [] and verdicts == []
