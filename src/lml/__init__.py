@@ -12,6 +12,7 @@ Baumslag-Solitar witness element rules finite models out past its radius
 from .balls import (
     DEFAULT_MAX_VERTICES,
     FiniteGraph,
+    NotReachableError,
     RootedBall,
     cayley_ball,
     distance,

@@ -109,41 +109,40 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     order); vertex 0 is the identity, so for a validated S and radius >= 1
     vertex i + 1 is S-letter i.  Edges are all pairs {u, u*s} with
     both endpoints inside the ball, including sphere-to-sphere edges.
+    The search runs on engine keys; each vertex is labelled once, at the end.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    identity = engine.normal_form(word())
-    keys = {engine.key(identity): 0}
-    labels = [identity]
+    order = [engine.key(word())]
+    keys = {order[0]: 0}
     dist = [0]
     edges = set()
-    # One product per (vertex, letter) finds both the new vertices and the
+    # One step per (vertex, letter) finds both the new vertices and the
     # edges; vertices at the radius still look for sphere-to-sphere edges.
     u = 0
-    while u < len(labels):
+    while u < len(order):
         for s in genset.words:
-            prod = engine.multiply(labels[u], s)
-            k = engine.key(prod)
+            k = engine.step(order[u], s)
             v = keys.get(k)
             if v is None:
                 if dist[u] == radius:
                     continue
-                if len(labels) >= max_vertices:
+                if len(order) >= max_vertices:
                     raise ResourceLimitError(
                         f"ball exceeds max_vertices={max_vertices}"
                     )
-                v = keys[k] = len(labels)
-                labels.append(prod)
+                v = keys[k] = len(order)
+                order.append(k)
                 dist.append(dist[u] + 1)
             if v != u:
                 edges.add((u, v) if u < v else (v, u))
         u += 1
     return RootedBall(
-        vertex_count=len(labels),
+        vertex_count=len(order),
         radius=radius,
         dist=tuple(dist),
         edges=tuple(sorted(edges)),
-        element_labels=tuple(labels),
+        element_labels=tuple(engine.label(k) for k in order),
     )
 
 
@@ -189,19 +188,23 @@ def finite_ball_with_order(graph, v, radius):
     return ball, tuple(order)
 
 
+class NotReachableError(ValueError):
+    """The (finite) Cayley graph was exhausted without reaching the element."""
+
+
 def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
     """Exact d(identity, g) in Cay(engine, genset) by meeting in the middle.
 
-    Raises ResourceLimitError past max_explored visited elements, and
-    ValueError if the (finite) graph is exhausted without reaching g.
+    Both searches run on engine keys.  Raises ResourceLimitError past
+    max_explored visited elements, and NotReachableError if the (finite)
+    graph is exhausted without reaching g.
     """
-    identity = engine.normal_form(word())
-    ke = engine.key(identity)
+    ke = engine.key(word())
     kg = engine.key(g)
     if ke == kg:
         return 0
     visited = ({ke: 0}, {kg: 0})
-    frontiers = ([identity], [engine.normal_form(g)])
+    frontiers = ([ke], [kg])
     depth = [0, 0]
     best = None
     while True:
@@ -209,14 +212,15 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
         if not frontiers[side]:
             if best is not None:
                 return best
-            raise ValueError("element not reachable from the identity over S")
+            raise NotReachableError(
+                "element not reachable from the identity over S"
+            )
         here, there = visited[side], visited[1 - side]
         nxt = []
         d = depth[side] + 1
         for u in frontiers[side]:
             for s in genset.words:
-                prod = engine.multiply(u, s)
-                k = engine.key(prod)
+                k = engine.step(u, s)
                 if k in here:
                     continue
                 if len(visited[0]) + len(visited[1]) >= max_explored:
@@ -224,7 +228,7 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
                         f"distance search exceeds max_explored={max_explored}"
                     )
                 here[k] = d
-                nxt.append(prod)
+                nxt.append(k)
                 if k in there:
                     total = d + there[k]
                     if best is None or total < best:

@@ -15,6 +15,7 @@ import sys
 
 from .balls import (
     DEFAULT_MAX_VERTICES,
+    NotReachableError,
     cayley_ball,
     distance,
     parse_graph,
@@ -203,11 +204,15 @@ def cmd_distance(args):
     engine = _make_engine(args)
     genset = _make_genset(args, engine)
     target = parse_word(args.word, engine.alphabet)
+    cap = _max_vertices(args)
     try:
-        d = distance(engine, genset, target, _max_vertices(args))
-    except ValueError:
+        d = distance(engine, genset, target, cap)
+    except NotReachableError:
         _emit(args, {"schema": 1, "reachable": False, "distance": None})
         return EXIT_NEGATIVE
+    except ValueError as err:
+        # The input is checked above, so this is a defect, not bad input.
+        raise RuntimeError(f"distance failed: {err}") from err
     _emit(args, {"schema": 1, "reachable": True, "distance": d})
     return EXIT_OK
 

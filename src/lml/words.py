@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class LmlError(Exception):
@@ -225,54 +226,43 @@ class BrittonForm:
         return word(pairs)
 
 
+def britton_step(key, w, m, n, a=0, b=1):
+    """The (t0, syllables) key of the canonical form `key` times the word w.
+
+    Appending one letter to a canonical form changes only its tail: b^e
+    adds to the last residue and carries leftward while the carry is
+    nonzero, and a^(+-1) cancels a final syllable of the opposite sign with
+    residue 0 (a pinch) or opens a new syllable with residue 0.
+    """
+    t0, stack = key[0], list(key[1])
+    for g, e in w.letters:
+        if g == b:
+            carry, i = e, len(stack) - 1
+            while carry and i >= 0:
+                eps, t = stack[i]
+                mod, other = (m, n) if eps == 1 else (n, m)
+                carry, r = divmod(t + carry, mod)
+                carry *= other
+                stack[i] = (eps, r)
+                i -= 1
+            t0 += carry
+        elif g == a:
+            sign = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                if stack and stack[-1] == (-sign, 0):
+                    stack.pop()
+                else:
+                    stack.append((sign, 0))
+        else:
+            raise ValueError(f"letter {g} outside the two-letter BS alphabet")
+    return t0, tuple(stack)
+
+
 def britton_normal_form(w, m, n, a=0, b=1):
     """Britton-reduce and canonicalize a word over {a, b} in BS(m, n)."""
     if m < 1 or n < 1:
         raise ValueError(f"BS parameters must be positive, got ({m}, {n})")
-    t0 = 0
-    stack = []  # mutable [eps, t] pairs
-    for g, e in w.letters:
-        if g == b:
-            if stack:
-                stack[-1][1] += e
-            else:
-                t0 += e
-        elif g == a:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                if stack:
-                    eps, t = stack[-1]
-                    if eps == 1 and step == -1 and t % m == 0:
-                        stack.pop()
-                        carry = (t // m) * n
-                        if stack:
-                            stack[-1][1] += carry
-                        else:
-                            t0 += carry
-                        continue
-                    if eps == -1 and step == 1 and t % n == 0:
-                        stack.pop()
-                        carry = (t // n) * m
-                        if stack:
-                            stack[-1][1] += carry
-                        else:
-                            t0 += carry
-                        continue
-                stack.append([step, 0])
-        else:
-            raise ValueError(f"letter {g} outside the two-letter BS alphabet")
-    # Canonicalize the pinch-free form: residues rightward, carries leftward.
-    for i in range(len(stack) - 1, -1, -1):
-        eps, t = stack[i]
-        mod = m if eps == 1 else n
-        r = t % mod
-        carry = ((t - r) // mod) * (n if eps == 1 else m)
-        stack[i][1] = r
-        if i > 0:
-            stack[i - 1][1] += carry
-        else:
-            t0 += carry
-    return BrittonForm(m, n, t0, tuple((eps, t) for eps, t in stack))
+    return BrittonForm(m, n, *britton_step((0, ()), w, m, n, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +272,28 @@ def britton_normal_form(w, m, n, a=0, b=1):
 class GroupEngine:
     """Canonical forms, identity tests, and products for one group.
 
-    normal_form is idempotent and constant on group-equal words; key is a
-    hashable token of the class of a word (used as vertex identity in ball
-    constructions).  Engines are immutable after construction; any caching
-    is semantically invisible.
+    key(w) is a hashable token of the element w names (the vertex identity
+    in ball constructions), label(key) is that element's normal-form Word,
+    and step(key, w) is the key of that element times w, so ball searches
+    run on keys alone.  normal_form = label . key is idempotent and constant
+    on group-equal words.  Engines are immutable after construction; any
+    caching is semantically invisible.
     """
 
     alphabet = ()
     kind = "abstract"
 
-    def normal_form(self, w):
+    def key(self, w):
         raise NotImplementedError
 
-    def key(self, w):
-        return self.normal_form(w).letters
+    def label(self, key):
+        raise NotImplementedError
+
+    def step(self, key, w):
+        return self.key(concat(self.label(key), w))
+
+    def normal_form(self, w):
+        return self.label(self.key(w))
 
     def is_identity(self, w):
         return not self.normal_form(w).letters
@@ -315,8 +313,11 @@ class FreeEngine(GroupEngine):
         if not self.alphabet:
             raise ValueError("free engine needs at least one generator")
 
-    def normal_form(self, w):
-        return free_reduce(w.letters)
+    def key(self, w):
+        return free_reduce(w.letters).letters
+
+    def label(self, key):
+        return Word(key)
 
 
 class FreeAbelianEngine(GroupEngine):
@@ -333,13 +334,11 @@ class FreeAbelianEngine(GroupEngine):
             out[g] += e
         return tuple(out)
 
-    def normal_form(self, w):
-        return word(
-            (g, e) for g, e in enumerate(self.exponents(w)) if e != 0
-        )
-
     def key(self, w):
         return self.exponents(w)
+
+    def label(self, key):
+        return word((g, e) for g, e in enumerate(key) if e != 0)
 
 
 class BaumslagSolitarEngine(GroupEngine):
@@ -359,12 +358,15 @@ class BaumslagSolitarEngine(GroupEngine):
     def britton(self, w):
         return britton_normal_form(w, self.m, self.n)
 
-    def normal_form(self, w):
-        return self.britton(w).to_word()
-
     def key(self, w):
         f = self.britton(w)
         return (f.t0, f.syllables)
+
+    def label(self, key):
+        return BrittonForm(self.m, self.n, *key).to_word()
+
+    def step(self, key, w):
+        return britton_step(key, w, self.m, self.n)
 
     def is_identity(self, w):
         return self.britton(w).is_identity()
@@ -395,9 +397,10 @@ def _word_permutation(w, degree, images, inverses):
 class FinitePermutationEngine(GroupEngine):
     """Concrete finite group given by permutation images of the generators.
 
-    Words act on {0..degree-1} left-to-right.  normal_form returns the
-    shortlex-least word reaching the same permutation (table built lazily
-    by breadth-first search over the whole group).
+    Words act on {0..degree-1} left-to-right, and a key is the permutation
+    a word acts by.  label returns the shortlex-least word reaching that
+    permutation, from a table built lazily by breadth-first search over the
+    whole group; key and step never build it.
     """
 
     kind = "perm"
@@ -417,7 +420,6 @@ class FinitePermutationEngine(GroupEngine):
         self.identity = tuple(range(degree))
         self._inverses = tuple(_perm_inverse(p) for p in self.images)
         self._table_cap = table_cap
-        self._table = None
 
     def permutation(self, w):
         return _word_permutation(w, self.degree, self.images, self._inverses)
@@ -425,10 +427,14 @@ class FinitePermutationEngine(GroupEngine):
     def key(self, w):
         return self.permutation(w)
 
+    def step(self, key, w):
+        return _perm_compose(key, self.permutation(w))
+
     def is_identity(self, w):
         return self.permutation(w) == self.identity
 
-    def _build_table(self):
+    @cached_property
+    def _table(self):
         table = {self.identity: ()}
         queue = [self.identity]
         steps = []
@@ -451,14 +457,10 @@ class FinitePermutationEngine(GroupEngine):
             queue = nxt
         return table
 
-    def normal_form(self, w):
-        if self._table is None:
-            self._table = self._build_table()
-        return word(self._table[self.permutation(w)])
+    def label(self, key):
+        return word(self._table[key])
 
     def order(self):
-        if self._table is None:
-            self._table = self._build_table()
         return len(self._table)
 
 

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from conftest import AB, wd
 from oracles import two_pass_cayley_ball
 
 from lml.balls import (
     FiniteGraph,
+    NotReachableError,
     RootedBall,
     cayley_ball,
     distance,
@@ -21,8 +23,11 @@ from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.words import (
     BaumslagSolitarEngine,
     FinitePermutationEngine,
+    FreeAbelianEngine,
+    FreeEngine,
     ParseError,
     ResourceLimitError,
+    bs_s10_setup,
     parse_word,
     validate_genset,
     word,
@@ -107,11 +112,11 @@ def test_cayley_ball_labels_are_distinct_keys(bs_setup):
 
 
 class CountingEngine(FinitePermutationEngine):
-    multiplies = 0
+    steps = 0
 
-    def multiply(self, u, v):
-        self.multiplies += 1
-        return super().multiply(u, v)
+    def step(self, key, w):
+        self.steps += 1
+        return super().step(key, w)
 
 
 @pytest.mark.parametrize("radius", range(5))
@@ -121,7 +126,8 @@ def test_cayley_ball_multiplies_once_per_vertex_and_letter(radius):
         engine, [parse_word(t, engine.alphabet) for t in ("a", "a^-1", "b", "b^-1")]
     )
     ball = cayley_ball(engine, genset, radius)
-    assert engine.multiplies == ball.vertex_count * len(genset)
+    # The product of a vertex and a letter is one engine step on its key.
+    assert engine.steps == ball.vertex_count * len(genset)
     want = two_pass_cayley_ball(engine, genset, radius)
     assert (ball.dist, ball.edges, ball.element_labels) == (
         want.dist, want.edges, want.element_labels
@@ -129,13 +135,22 @@ def test_cayley_ball_multiplies_once_per_vertex_and_letter(radius):
 
 
 def test_cayley_ball_matches_two_pass_build(bs_setup):
-    engine, genset, _ = bs_setup
-    for radius in range(3):
-        ball = cayley_ball(engine, genset, radius)
-        want = two_pass_cayley_ball(engine, genset, radius)
-        assert (ball.dist, ball.edges, ball.element_labels) == (
-            want.dist, want.edges, want.element_labels
-        )
+    # The key-stepping search against the word-multiplying construction.
+    standard = ("a", "a^-1", "b", "b^-1")
+    cases = [bs_setup[:2], bs_s10_setup(2, 3)[:2]]
+    for engine, texts in (
+        (FreeEngine(AB), standard + ("a b", "b^-1 a^-1")),
+        (FreeAbelianEngine(AB), standard + ("a b", "b^-1 a^-1")),
+        (BaumslagSolitarEngine(2, 3), standard),
+    ):
+        cases.append((engine, validate_genset(engine, [wd(t) for t in texts])))
+    for engine, genset in cases:
+        for radius in range(4):
+            ball = cayley_ball(engine, genset, radius)
+            want = two_pass_cayley_ball(engine, genset, radius)
+            assert (ball.dist, ball.edges, ball.element_labels) == (
+                want.dist, want.edges, want.element_labels
+            )
 
 
 def test_cayley_ball_respects_max_vertices(bs_setup):
@@ -257,11 +272,43 @@ def test_distance_bs_sampled(bs_setup):
         assert distance(engine, genset, lbl) == 4
 
 
+def test_distance_equals_ball_dist_on_s10_radius_3(bs_setup):
+    engine, genset, _ = bs_setup
+    ball = cayley_ball(engine, genset, 3)
+    for v, lbl in enumerate(ball.element_labels):
+        assert distance(engine, genset, lbl) == ball.dist[v]
+
+
+def test_distance_on_permutations_builds_no_group_table():
+    # S12 has 12! elements, far past table_cap; distance needs only keys.
+    cycle = tuple(range(1, 12)) + (0,)
+    eng = FinitePermutationEngine(
+        AB, ((1, 0) + tuple(range(2, 12)), cycle), table_cap=100
+    )
+    gs = validate_genset(eng, [wd("a"), wd("b"), wd("b^-1")])
+    target = wd("a b a b^-1 a b^3")
+    # breadth-first search over plain permutation tuples as the oracle
+    images = [eng.images[0], cycle, tuple(cycle.index(x) for x in range(12))]
+    goal = eng.permutation(target)
+    seen = {tuple(range(12))}
+    frontier, want = list(seen), 0
+    while goal not in seen:
+        frontier = [
+            tuple(img[x] for x in p) for p in frontier for img in images
+        ]
+        frontier = [p for p in set(frontier) if p not in seen]
+        seen.update(frontier)
+        want += 1
+    assert distance(eng, gs, target) == want
+    with pytest.raises(ResourceLimitError):
+        eng.order()
+
+
 def test_distance_unreachable_and_caps():
     # <a> = {e, a} is a finite component, so unreachability is provable.
     eng = FinitePermutationEngine(("a", "b"), ((1, 0, 2, 3), (1, 2, 3, 0)))
     gs = validate_genset(eng, [parse_word("a", eng.alphabet)])
-    with pytest.raises(ValueError):
+    with pytest.raises(NotReachableError):
         distance(eng, gs, parse_word("b", eng.alphabet))
     bs = BaumslagSolitarEngine(2, 3)
     bgs = validate_genset(

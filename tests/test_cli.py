@@ -9,7 +9,12 @@ import json
 import pytest
 from oracles import brute_hom_classes
 
-from lml.balls import parse_graph, parse_rooted_ball, render_graph
+from lml.balls import (
+    NotReachableError,
+    parse_graph,
+    parse_rooted_ball,
+    render_graph,
+)
 from lml import cli
 from lml.cli import main
 from lml.fixtures import cycle_graph, torus_grid
@@ -241,6 +246,32 @@ def test_distance_exceeding_budget(capsys):
 def test_distance_parse_error(capsys):
     code, out, err = run(capsys, "distance", "--word", "q^2")
     assert code == 3 and "error:" in err
+
+
+def test_distance_exit_codes_tell_unreachable_from_a_crash(
+    capsys, monkeypatch
+):
+    def unreachable(*args):
+        raise NotReachableError("not reachable")
+
+    monkeypatch.setattr(cli, "distance", unreachable)
+    code, doc, _ = run_json(capsys, "distance", "--word", "b")
+    assert code == 1
+    assert doc == {"schema": 1, "reachable": False, "distance": None}
+
+    def crash(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "distance", crash)
+    code, out, err = run(capsys, "distance", "--word", "b")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == "" and "ValueError: boom" in err
+
+
+def test_distance_bad_memory_budget_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("LML_MAX_MEM", "not-a-number")
+    code, out, err = run(capsys, "distance", "--word", "b")
+    assert code == 3 and "LML_MAX_MEM" in err
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,30 @@ def test_bs_engine_agrees_with_normal_form():
     assert eng.key(wd("a b^2 a^-1")) == eng.key(wd("b^3"))
 
 
+def test_step_rejects_letters_outside_the_bs_alphabet():
+    eng = BaumslagSolitarEngine(2, 3)
+    with pytest.raises(ValueError):
+        eng.step(eng.key(wd("a b")), word(((2, 1),)))
+
+
+def test_engine_step_is_the_product_on_keys():
+    # label(step(key(u), s)) must be the word-level product for every engine
+    engines = (
+        FreeEngine(AB),
+        FreeAbelianEngine(AB),
+        BaumslagSolitarEngine(2, 3),
+        BaumslagSolitarEngine(9, 10),
+        FinitePermutationEngine(AB, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    )
+    rng = random.Random(97)
+    for eng in engines:
+        for _ in range(200):
+            u, s = random_word(rng), random_word(rng, max_len=3)
+            k = eng.step(eng.key(u), s)
+            assert k == eng.key(concat(u, s))
+            assert eng.label(k) == eng.multiply(u, s)
+
+
 def test_bs_engine_rejects_bad_parameters():
     with pytest.raises(ValueError):
         BaumslagSolitarEngine(0, 3)
