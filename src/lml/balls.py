@@ -8,7 +8,7 @@ caps raise ResourceLimitError; nothing is ever silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .words import ParseError, ResourceLimitError, word
@@ -61,15 +61,16 @@ class RootedBall:
 
     radius is the requested construction radius; spheres beyond the last
     populated distance are genuinely empty (saturated group), never cut.
-    element_labels, when present, are the pairwise distinct canonical
-    forms labelling each vertex of a Cayley ball.
+    A Cayley ball keeps the engine keys of its vertices; element_labels,
+    their pairwise distinct canonical forms, are made on first read.
     """
 
     vertex_count: int
     radius: int
     dist: tuple
     edges: tuple
-    element_labels: tuple = None
+    keys: tuple = None
+    engine: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -90,6 +91,11 @@ class RootedBall:
     def adjacency(self):
         return _adjacency(self.vertex_count, self.edges)
 
+    @cached_property
+    def element_labels(self):
+        if self.keys is not None:
+            return tuple(self.engine.label(k) for k in self.keys)
+
     def degree(self, v):
         return len(self.adjacency[v])
 
@@ -109,7 +115,7 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     order); vertex 0 is the identity, so for a validated S and radius >= 1
     vertex i + 1 is S-letter i.  Edges are all pairs {u, u*s} with
     both endpoints inside the ball, including sphere-to-sphere edges.
-    The search runs on engine keys; each vertex is labelled once, at the end.
+    The search runs on engine keys; labels are made only if read.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -142,7 +148,8 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
         radius=radius,
         dist=tuple(dist),
         edges=tuple(sorted(edges)),
-        element_labels=tuple(engine.label(k) for k in order),
+        keys=tuple(order),
+        engine=engine,
     )
 
 

@@ -8,6 +8,13 @@ searches and canonical_key accept a ball or its PreparedBall, so a caller
 matching many balls against one target refines the target once.  The
 searches keep their frames on explicit stacks, so ball size is bounded by
 memory, not by the recursion limit.
+
+A first-only automorphism search stops at identity completion: once the
+images of 0..j-1 are exactly {0..j-1} and each moved u < j (image not u)
+has its image adjacent to every neighbor w >= j of u, the identity on
+j..n-1 completes an automorphism.  It is the lex-first completion: then
+j is the least unused candidate for j and passes the neighbor test, and
+so on up.  So an automorphism_scan probe costs about the vertices it moves.
 """
 
 from __future__ import annotations
@@ -100,14 +107,16 @@ def prepare(ball):
     )
 
 
-def _search(p1, p2, first_only, forced=()):
+def _search(p1, p2, first_only, probe=None):
     """Rooted isomorphisms between two prepared balls, in lex order.
 
     Source vertices are matched in stored (BFS) order, so every vertex
-    after the root already has a mapped neighbor constraining it.  The
-    first len(forced) source vertices may only go to forced[v].  The
-    frames (candidates left, targets used, required neighbor images) sit
-    on an explicit stack, so depth is not bounded by the recursion limit.
+    after the root already has a mapped neighbor constraining it.  A probe
+    (i, t) of an automorphism search starts at i, with 0..i-1 fixed and t
+    the one candidate for i.  The frames (candidates left, targets used,
+    required neighbor images, reach: one past the highest neighbor of a
+    moved vertex that misses its image) sit on an explicit stack, so depth
+    is not bounded by the recursion limit.
     """
     if p1 is not p2 and p1.profile != p2.profile:
         return []
@@ -115,21 +124,22 @@ def _search(p1, p2, first_only, forced=()):
     if n == 0:
         return [()]
     c1, c2, cells2 = p1.colors, p2.colors, p2.cells
-    adj2, earlier = p2.masks, p1.earlier
-    mapping = [-1] * n
+    adj1, adj2, earlier = p1.masks, p2.masks, p1.earlier
+    base, only = probe or (0, None)
+    complete = p1 is p2 and first_only
+    mapping = list(range(n))
     found = []
 
-    def frame(v, used):
+    def frame(v, used, reach, cands=None):
         required = 0
         for u in earlier[v]:
             required |= 1 << mapping[u]
-        cands = (forced[v],) if v < len(forced) else cells2[c1[v]]
-        return iter(cands), used, required
+        return iter(cands or cells2[c1[v]]), used, required, reach
 
-    stack = [frame(0, 0)]
+    stack = [frame(base, (1 << base) - 1, 0, probe and (only,))]
     while stack:
-        v = len(stack) - 1
-        cands, used, required = stack[-1]
+        v = base + len(stack) - 1
+        cands, used, required, reach = stack[-1]
         for t in cands:
             if (
                 not (used >> t) & 1
@@ -141,12 +151,16 @@ def _search(p1, p2, first_only, forced=()):
             stack.pop()
             continue
         mapping[v] = t
-        if v + 1 < n:
-            stack.append(frame(v + 1, used | (1 << t)))
-        else:
-            found.append(tuple(mapping))
+        used |= 1 << t
+        j = v + 1
+        if complete and t != v:
+            reach = max(reach, (adj1[v] & ~adj2[t]).bit_length())
+        if j == n or (complete and used.bit_length() == j and reach <= j):
+            found.append(tuple(mapping[:j]) + tuple(range(j, n)))
             if first_only:
                 break
+        else:
+            stack.append(frame(j, used, reach))
     return found
 
 
@@ -179,8 +193,11 @@ def automorphism_scan(ball, inner_radius):
     or None if every automorphism fixes that inner ball pointwise.
 
     Walks the stabilizer chain along the stored vertex order: the count
-    is the product of the orbit sizes, and each orbit is probed with one
-    prefix-forced search per same-color candidate.  Balls with huge
+    is the product of the orbit sizes.  The orbit of i is probed with one
+    search per same-color t > i for the lex-first automorphism fixing
+    0..i-1 and sending i to t; it starts at i and ends at identity
+    completion (module docstring), so it never re-matches the fixed
+    prefix or the fixed rest of the ball.  Balls with huge
     automorphism groups (many interchangeable leaves) stay cheap because
     the count is never materialized as a list of maps.
     """
@@ -202,7 +219,7 @@ def automorphism_scan(ball, inner_radius):
                 # t < i is already pointwise-fixed at this link, so it
                 # cannot also receive i; t == i is the identity branch.
                 continue
-            res = _search(p, p, first_only=True, forced=tuple(range(i)) + (t,))
+            res = _search(p, p, True, probe=(i, t))
             if res:
                 orbit += 1
                 if witness is None and dist[i] <= inner_radius:

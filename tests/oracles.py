@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last three
+Everything here is deliberately naive and, apart from the last four
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  Speed only matters enough for the
-test sizes.
+algorithms, different representations.  The last four keep an earlier
+form of a package routine and call the package for everything else.
+Speed only matters enough for the test sizes.
 """
 
 import itertools
@@ -15,7 +16,13 @@ from lml.balls import (
     finite_ball_with_order,
     is_connected,
 )
-from lml.iso import canonical_key, first_rooted_isomorphism, rooted_isomorphisms
+from lml.iso import (
+    RootedIso,
+    canonical_key,
+    first_rooted_isomorphism,
+    prepare,
+    rooted_isomorphisms,
+)
 from lml.localmodel import ModelClass, ModelVerdict
 from lml.reconstruct import (
     AmbiguousLabeling,
@@ -330,7 +337,8 @@ def two_pass_cayley_ball(engine, genset, radius):
             v = keys.get(engine.key(engine.multiply(labels[u], s)))
             if v is not None and v != u:
                 edges.add((min(u, v), max(u, v)))
-    return RootedBall(len(labels), radius, dist, tuple(edges), tuple(labels))
+    keys_in_order = tuple(engine.key(w) for w in labels)
+    return RootedBall(len(labels), radius, dist, tuple(edges), keys_in_order, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +410,63 @@ def oracle_reconstruct(graph, engine, genset, presentation, radius):
         "success", labeling=labeled, action=action,
         stabilizer_words=tuple(stabilizer(action, 0, genset)), r_prime=r_prime,
     )
+
+
+# ---------------------------------------------------------------------------
+# automorphism scan by prefix-forced searches over the whole ball
+
+
+def _forced_prefix_search(p, forced):
+    """The lex-first automorphism of prepared ball p whose first len(forced)
+    vertices go to forced[v], or None; every vertex is matched in turn."""
+    n = p.ball.vertex_count
+    colors, cells, masks, earlier = p.colors, p.cells, p.masks, p.earlier
+    mapping = [-1] * n
+
+    def frame(v, used):
+        required = 0
+        for u in earlier[v]:
+            required |= 1 << mapping[u]
+        cands = (forced[v],) if v < len(forced) else cells[colors[v]]
+        return iter(cands), used, required
+
+    stack = [frame(0, 0)]
+    while stack:
+        v = len(stack) - 1
+        cands, used, required = stack[-1]
+        for t in cands:
+            if (
+                not (used >> t) & 1
+                and colors[t] == colors[v]
+                and masks[t] & used == required
+            ):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = t
+        if v + 1 == n:
+            return tuple(mapping)
+        stack.append(frame(v + 1, used | (1 << t)))
+    return None
+
+
+def forced_prefix_automorphism_scan(ball, inner_radius):
+    """automorphism_scan as the package ran it before identity completion:
+    each probe (i, t) re-matches the whole ball with 0..i-1 forced to
+    themselves and i forced to t."""
+    p = prepare(ball)
+    n = p.ball.vertex_count
+    count, witness = 1, None
+    for i in range(n):
+        orbit = 1
+        for t in p.cells[p.colors[i]]:
+            if t <= i:
+                continue
+            found = _forced_prefix_search(p, tuple(range(i)) + (t,))
+            if found is not None:
+                orbit += 1
+                if witness is None and p.ball.dist[i] <= inner_radius:
+                    witness = RootedIso(p.ball, p.ball, found).validate()
+        count *= orbit
+    return count, witness

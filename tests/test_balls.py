@@ -21,6 +21,7 @@ from lml.balls import (
 )
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.words import (
+    S10_TEXTS,
     BaumslagSolitarEngine,
     FinitePermutationEngine,
     FreeAbelianEngine,
@@ -302,6 +303,41 @@ def test_distance_on_permutations_builds_no_group_table():
     assert distance(eng, gs, target) == want
     with pytest.raises(ResourceLimitError):
         eng.order()
+
+
+def test_permutation_ball_labels_only_when_read():
+    # The ball steps on permutations; only its labels need the S12 table.
+    cycle = tuple(range(1, 12)) + (0,)
+    eng = FinitePermutationEngine(
+        AB, ((1, 0) + tuple(range(2, 12)), cycle), table_cap=100
+    )
+    gs = validate_genset(eng, [wd("a"), wd("b"), wd("b^-1")])
+    ball = cayley_ball(eng, gs, 2)
+    assert sphere_sizes(ball) == (1, 3, 6)
+    assert ball.keys[1:4] == tuple(eng.key(w) for w in gs.words)
+    with pytest.raises(ResourceLimitError):
+        ball.element_labels
+
+
+def test_pgl_211_ball_is_the_bs_ball_without_a_group_table(bs_setup):
+    # PGL(2, 211) has 9,393,720 elements, past the default table cap, and
+    # its s10 3-ball is the BS(9, 10) one; building it needs no table.
+    p = 211
+
+    def mobius(a, b, c, d):
+        def image(x):
+            num, den = (a * x + b, c * x + d) if x < p else (a, c)
+            return p if den % p == 0 else num * pow(den, -1, p) % p
+
+        return tuple(image(x) for x in range(p + 1))
+
+    eng = FinitePermutationEngine(
+        AB, (mobius(5, 6, 166, 138), mobius(2, 97, 175, 55))
+    )
+    gs = validate_genset(eng, [wd(t) for t in S10_TEXTS])
+    ball = cayley_ball(eng, gs, 3)
+    want = cayley_ball(bs_setup[0], bs_setup[1], 3)
+    assert (ball.dist, ball.edges) == (want.dist, want.edges)
 
 
 def test_distance_unreachable_and_caps():

@@ -225,6 +225,21 @@ def test_r0_default_engine_concrete(capsys):
     assert len(doc["moving_witnesses"]) == 1
 
 
+def test_r0_bs_from_radius_three(capsys):
+    code, doc, _ = run_json(
+        capsys,
+        "r0", "--m", "9", "--n", "10", "--preset", "s10",
+        "--r", "3", "--bound", "4",
+    )
+    assert code == 0
+    assert doc["r0"] == 4
+    assert doc["automorphism_counts"] == [
+        {"radius": 3, "count": 2**132},
+        {"radius": 4, "count": 2**843},
+    ]
+    assert [w["radius"] for w in doc["moving_witnesses"]] == [3]
+
+
 def test_distance_in_default_genset(capsys):
     code, doc, _ = run_json(capsys, "distance", "--word", "b^4")
     assert code == 0

@@ -4,7 +4,11 @@ cross-checked against brute-force enumeration on a seeded corpus."""
 import random
 
 import pytest
-from oracles import brute_rooted_isomorphisms, layered_rooted_isomorphisms
+from oracles import (
+    brute_rooted_isomorphisms,
+    forced_prefix_automorphism_scan,
+    layered_rooted_isomorphisms,
+)
 
 from lml.balls import FiniteGraph, RootedBall, cayley_ball, finite_ball
 from lml.fixtures import fixture_klein, torus_grid
@@ -18,7 +22,13 @@ from lml.iso import (
     rooted_automorphism_count,
     rooted_isomorphisms,
 )
-from lml.words import FreeAbelianEngine, parse_word, validate_genset
+from lml.words import (
+    S10_TEXTS,
+    BaumslagSolitarEngine,
+    FreeAbelianEngine,
+    parse_word,
+    validate_genset,
+)
 
 
 def random_ball(rng, n, radius=2):
@@ -209,6 +219,64 @@ def test_scan_large_symmetric_ball_stays_cheap():
     import math
 
     assert rooted_automorphism_count(star) == math.factorial(18)
+
+
+def assert_scan_matches_oracle(ball, inner_radii):
+    p = prepare(ball)
+    for inner in inner_radii:
+        count, witness = automorphism_scan(p, inner)
+        want_count, want_witness = forced_prefix_automorphism_scan(p, inner)
+        assert count == want_count, inner
+        got = witness.mapping if witness else None
+        assert got == (want_witness.mapping if want_witness else None), inner
+
+
+def test_scan_matches_forced_prefix_oracle_on_corpus():
+    rng = random.Random(60606)
+    for _ in range(150):
+        b = random_ball(rng, rng.randrange(2, 10), radius=rng.randrange(1, 4))
+        assert_scan_matches_oracle(b, range(-1, b.radius + 1))
+    for r in range(4):
+        assert_scan_matches_oracle(z2_ball(r), range(-1, r + 1))
+    star = RootedBall(
+        19, 1, (0,) + (1,) * 18, tuple((0, v) for v in range(1, 19))
+    )
+    assert_scan_matches_oracle(star, (0, 1))
+    # Probes that move several vertices: one may complete only when none
+    # of them has a later neighbor missing its image.
+    swaps = RootedBall(
+        8, 2, (0, 1, 1, 1, 1, 2, 2, 2),
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 6),
+         (3, 4), (3, 7), (4, 7)),
+    )
+    twins = RootedBall(
+        10, 2, (0,) + (1,) * 8 + (2,),
+        tuple((0, v) for v in range(1, 9))
+        + ((1, 8), (1, 9), (2, 8), (2, 9), (3, 8), (3, 9), (4, 7), (4, 9),
+           (5, 7), (5, 9), (6, 7), (6, 9), (7, 9), (8, 9)),
+    )
+    for ball in (swaps, twins):
+        assert_scan_matches_oracle(ball, (0, 1, 2))
+
+
+def test_scan_matches_forced_prefix_oracle_on_group_balls(group_fixture):
+    engine, genset = group_fixture.engine(), group_fixture.genset()
+    for r in range(4):
+        assert_scan_matches_oracle(cayley_ball(engine, genset, r), range(r + 1))
+
+
+def test_scan_matches_forced_prefix_oracle_on_bs_s10():
+    engine = BaumslagSolitarEngine(9, 10)
+    rng = random.Random(1010)
+    for _ in range(3):
+        texts = list(S10_TEXTS)
+        rng.shuffle(texts)
+        genset = validate_genset(
+            engine, [parse_word(t, engine.alphabet) for t in texts]
+        )
+        for r in (2, 3):
+            ball = cayley_ball(engine, genset, r)
+            assert_scan_matches_oracle(ball, range(1, r + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,19 @@ def test_fixing_radius_bs_concrete(bs_setup):
     assert not restricts_trivially(phi, 2)
 
 
+def test_fixing_radius_bs_from_radius_three(bs_setup):
+    # The 3-ball needs the 4-ball to pin it: r0(r=3) = 4 on the s10 set.
+    engine, genset, _ = bs_setup
+    report = fixing_radius(engine, genset, 3, 4)
+    assert report.r0 == 4
+    assert report.automorphism_counts == ((3, 2**132), (4, 2**843))
+    ((rho, mapping),) = report.moving_witnesses
+    assert rho == 3
+    ball = cayley_ball(engine, genset, 3)
+    phi = RootedIso(ball, ball, mapping).validate()
+    assert not restricts_trivially(phi, 3)
+
+
 def test_fixing_radius_jsonable(z_setup):
     engine, genset = z_setup
     doc = fixing_radius(engine, genset, 1, 2).to_jsonable()
