@@ -27,7 +27,6 @@ from .balls import (
 )
 from .cosets import (
     CosetTable,
-    FiniteQuotientHom,
     IndexExceedsBound,
     SchreierRealization,
     WitnessReport,

@@ -147,7 +147,7 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
         vertex_count=len(order),
         radius=radius,
         dist=tuple(dist),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
         keys=tuple(order),
         engine=engine,
     )
@@ -190,7 +190,7 @@ def finite_ball_with_order(graph, v, radius):
         vertex_count=len(order),
         radius=radius,
         dist=tuple(dist[u] for u in order),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
     )
     return ball, tuple(order)
 

@@ -66,6 +66,19 @@ _MAX_NODES_HELP = (
 _BYTES_PER_VERTEX = 500
 
 
+def _cap(text):
+    """argparse type for a resource cap: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
+
+
 def _axis_names(d):
     if d <= 3:
         return ("x", "y", "z")[:d]
@@ -257,7 +270,10 @@ def cmd_quotients(args):
         "schema": 1,
         "degree": args.degree,
         "count": len(homs),
-        "classes": [h.to_jsonable() for h in homs],
+        "classes": [
+            {"degree": h.cosets, "images": [list(p) for p in h.forward]}
+            for h in homs
+        ],
     }
     _emit(args, obj)
     return EXIT_OK
@@ -308,7 +324,7 @@ def _add_engine(p):
         choices=("s10",),
         help="s10: the 10-element BS generating set",
     )
-    p.add_argument("--max-vertices", type=int, dest="max_vertices")
+    p.add_argument("--max-vertices", type=_cap, dest="max_vertices")
 
 
 def build_parser():
@@ -355,7 +371,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--presentation", required=True)
     p.add_argument("--subgroup", help="subgroup generators separated by |")
-    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    p.add_argument("--max-cosets", type=_cap, default=DEFAULT_MAX_COSETS)
     p.add_argument("--schreier", action="store_true",
                    help="include the Schreier realization over S")
     p.add_argument("--s", help="S for --schreier: words separated by |")
@@ -367,7 +383,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=9)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+    p.add_argument("--max-nodes", type=_cap, default=DEFAULT_MAX_NODES,
                    help=_MAX_NODES_HELP)
     p.set_defaults(handler=cmd_quotients)
 
@@ -378,9 +394,9 @@ def build_parser():
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--witness", help="explicit witness word over a, b")
     p.add_argument("--gcd-witness", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+    p.add_argument("--max-nodes", type=_cap, default=DEFAULT_MAX_NODES,
                    help=_MAX_NODES_HELP)
-    p.add_argument("--max-vertices", type=int, dest="max_vertices")
+    p.add_argument("--max-vertices", type=_cap, dest="max_vertices")
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("klein", help="Klein-bottle grid fixture")

@@ -6,10 +6,10 @@ coincidences resolved by union on least representatives), producing the
 permutation action on the coset space.  schreier_from_table turns a
 complete table into sigma maps plus a simple graph, counting the loops
 and parallel edges it had to drop.  enumerate_homs (Sims' low-index
-search) lists the transitive degree-k permutation quotients, one per
-conjugacy class of index-k subgroups.  witness_report bundles evidence
-that the witness element of BS(m, n) is nontrivial yet maps to the
-identity in every quotient of degree <= K, with d(e, witness).
+search) lists the transitive degree-k permutation quotients as coset
+tables, one per conjugacy class of index-k subgroups.  witness_report
+bundles evidence that the witness element of BS(m, n) is nontrivial yet
+maps to the identity in every quotient of degree <= K, with d(e, witness).
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ class IndexExceedsBound(LmlError):
 class CosetTable:
     """Complete table of right cosets; coset 0 is the subgroup itself.
 
-    forward[g] is the permutation u -> u*g; the inverse generator's column
-    is its inverse permutation, exposed through column()/apply().
+    forward[g] is the permutation u -> u*g and backward[g] its inverse.
+    This is the package's one permutation action of a presentation's
+    generators: a finite quotient from enumerate_homs is a table too.
     """
 
     generator_names: tuple
@@ -75,15 +76,9 @@ class CosetTable:
     def backward(self):
         return tuple(_perm_inverse(col) for col in self.forward)
 
-    def column(self, g, sign):
-        return self.forward[g] if sign > 0 else self.backward[g]
-
-    def apply(self, u, w):
-        for g, e in w.letters:
-            col = self.column(g, e)
-            for _ in range(abs(e)):
-                u = col[u]
-        return u
+    def permutation(self, w):
+        """The permutation of the cosets that w acts by: u -> u*w."""
+        return _word_permutation(w, self.cosets, self.forward, self.backward)
 
     def to_jsonable(self):
         cols = {}
@@ -260,70 +255,34 @@ class SchreierRealization:
 
 
 def schreier_from_table(table, genset):
-    """sigma maps over S by composing table columns; simple graph alongside.
+    """sigma maps over S read off the table; simple graph alongside.
 
-    One candidate edge is taken per (vertex, letter) with the letter
+    One candidate edge is counted per (vertex, letter) with the letter
     ranging over one representative of each inverse pair; loops and
     repeated pairs are dropped and counted.
     """
     n = table.cosets
-    sigma = tuple(
-        tuple(table.apply(u, s) for u in range(n)) for s in genset.words
-    )
-    action = SchreierGraph(n, sigma)
-    loops = 0
-    candidates = []
+    action = SchreierGraph(n, tuple(table.permutation(s) for s in genset.words))
+    graph = action.underlying_graph()
+    loops = candidates = 0
     for i, col in enumerate(action.sigma):
         j = genset.inverse_pairing[i]
         if i > j:
             continue
-        for u, v in enumerate(col):
-            if u == v:
-                loops += 1
-            elif i < j or u < v:
-                candidates.append((u, v) if u < v else (v, u))
-    edges = sorted(set(candidates))
-    parallels = len(candidates) - len(edges)
+        fixed = sum(u == v for u, v in enumerate(col))
+        loops += fixed
+        # An involution's column gives each edge once from either end.
+        candidates += n - fixed if i < j else (n - fixed) // 2
     return SchreierRealization(
         action=action,
-        graph=FiniteGraph(n, tuple(edges)),
+        graph=graph,
         loops_dropped=loops,
-        parallels_dropped=parallels,
+        parallels_dropped=candidates - len(graph.edges),
     )
 
 
 # ---------------------------------------------------------------------------
 # finite quotients of a fixed degree
-
-
-@dataclass(frozen=True)
-class FiniteQuotientHom:
-    """Permutation images of the generators; one per conjugacy class."""
-
-    degree: int
-    images: tuple
-
-    @cached_property
-    def _inverses(self):
-        return tuple(_perm_inverse(p) for p in self.images)
-
-    def permutation(self, w):
-        return _word_permutation(w, self.degree, self.images, self._inverses)
-
-    def is_transitive(self):
-        reached = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for p, q in zip(self.images, self._inverses):
-                for y in (p[x], q[x]):
-                    if y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-        return len(reached) == self.degree
-
-    def to_jsonable(self):
-        return {"degree": self.degree, "images": [list(p) for p in self.images]}
 
 
 def _canonical_images(images, perms):
@@ -401,7 +360,8 @@ def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
     the next new one, then runs _deduce and _least_in_class, so each
     conjugacy class of index-k subgroups yields one table, transitive as
     it grows from coset 0.  max_nodes caps the table entries tried.
-    Returns canonical (lex-least conjugate) representatives, sorted.
+    Returns coset tables on the canonical (lex-least conjugate) images,
+    sorted by those images.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
@@ -449,7 +409,8 @@ def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
         )
         for t in found
     )
-    return [FiniteQuotientHom(k, imgs) for imgs in classes]
+    names = tuple(presentation.generators)
+    return [CosetTable(names, k, imgs) for imgs in classes]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import cached_property
 from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, is_connected
 from .iso import automorphism_scan, prepare, rooted_isomorphisms
 from .localmodel import NotAModelError, vertex_witnesses
-from .words import LmlError, Word, concat, invert, word
+from .words import LmlError, Word, _word_permutation, concat, invert, word
 
 # Labels are read off the isomorphisms within this distance of each vertex,
 # so two isomorphisms that differ there make the labeling ambiguous.
@@ -53,7 +53,7 @@ class EdgeLabeling:
 
     directed holds (v, w, s_index) triples, sorted; the label of (w, v) is
     the inverse pairing of the label of (v, w), and the out-labels at any
-    vertex are pairwise distinct (both checked by the producer, the first
+    vertex are pairwise distinct (both checked by the producer, the second
     re-checked here).
     """
 
@@ -93,9 +93,6 @@ class SchreierGraph:
     vertex_count: int
     sigma: tuple
 
-    def apply(self, i, v):
-        return self.sigma[i][v]
-
     def underlying_graph(self):
         """The simple graph of the action (loops and multiplicity dropped)."""
         edges = set()
@@ -103,7 +100,7 @@ class SchreierGraph:
             for v, w in enumerate(col):
                 if v != w:
                     edges.add((v, w) if v < w else (w, v))
-        return FiniteGraph(self.vertex_count, tuple(sorted(edges)))
+        return FiniteGraph(self.vertex_count, tuple(edges))
 
     def to_jsonable(self):
         return {
@@ -221,7 +218,8 @@ def build_action(graph, labeling, genset):
 # presenting the group on S and checking the action factors through it
 
 
-def present_on_S(presentation, genset, engine):
+def present_on_S(presentation, genset, engine,
+                 max_vertices=DEFAULT_MAX_VERTICES):
     """Relators over the abstract alphabet S, plus the radius they need.
 
     Output relators use S indices as letters, always with positive
@@ -230,7 +228,8 @@ def present_on_S(presentation, genset, engine):
     s that is not itself a base generator or its inverse, plus every
     presentation relator rewritten over the base letters.  Also returns
     r' = the largest distance from the identity reached by any prefix of
-    any relator, evaluated in Cay(engine, S).
+    any relator, evaluated in Cay(engine, S) with each distance search
+    capped at max_vertices explored elements.
     """
     base = {}
     for g in range(len(presentation.generators)):
@@ -264,8 +263,8 @@ def present_on_S(presentation, genset, engine):
         acc = word()
         for i, e in rel.letters:
             for _ in range(e):
-                acc = engine.multiply(acc, genset.words[i])
-                d = distance(engine, genset, acc)
+                acc = concat(acc, genset.words[i])
+                d = distance(engine, genset, acc, max_vertices)
                 if d > r_prime:
                     r_prime = d
     return relators, r_prime
@@ -289,18 +288,13 @@ def check_factors(action, relators, pairing=None):
     Returns the first RelatorViolation otherwise (relator order, then
     vertex order).  Negative exponents need the inverse pairing.
     """
+    n, sigma = action.vertex_count, action.sigma
+    inverses = None if pairing is None else [sigma[j] for j in pairing]
     for rel in relators:
-        for v in range(action.vertex_count):
-            x = v
-            for i, e in rel.letters:
-                if e < 0:
-                    if pairing is None:
-                        raise ValueError(
-                            "negative exponent needs the inverse pairing"
-                        )
-                    i, e = pairing[i], -e
-                for _ in range(e):
-                    x = action.sigma[i][x]
+        if inverses is None and any(e < 0 for _, e in rel.letters):
+            raise ValueError("negative exponent needs the inverse pairing")
+        perm = _word_permutation(rel, n, sigma, inverses)
+        for v, x in enumerate(perm):
             if x != v:
                 return RelatorViolation(rel, v)
     return True
@@ -421,7 +415,7 @@ def reconstruct(graph, engine, genset, presentation, radius,
     if isinstance(labeled, LabelInconsistency):
         return ReconstructionResult("label_inconsistency", inconsistency=labeled)
     action = build_action(graph, labeled, genset)
-    relators, r_prime = present_on_S(presentation, genset, engine)
+    relators, r_prime = present_on_S(presentation, genset, engine, max_vertices)
     ok = check_factors(action, relators, genset.inverse_pairing)
     if ok is not True:
         return ReconstructionResult(

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last four
+Everything here is deliberately naive and, apart from the last five
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last four keep an earlier
+algorithms, different representations.  The last five keep an earlier
 form of a package routine and call the package for everything else.
 Speed only matters enough for the test sizes.
 """
@@ -29,6 +29,7 @@ from lml.reconstruct import (
     EdgeLabeling,
     LabelInconsistency,
     ReconstructionResult,
+    RelatorViolation,
     build_action,
     check_factors,
     present_on_S,
@@ -470,3 +471,28 @@ def forced_prefix_automorphism_scan(ball, inner_radius):
                     witness = RootedIso(p.ball, p.ball, found).validate()
         count *= orbit
     return count, witness
+
+
+# ---------------------------------------------------------------------------
+# relator checks by following every vertex letter by letter
+
+
+def pointwise_check_factors(action, relators, pairing=None):
+    """check_factors as the package ran it before it evaluated each relator
+    as one permutation: every vertex walks every relator one step at a
+    time."""
+    for rel in relators:
+        for v in range(action.vertex_count):
+            x = v
+            for i, e in rel.letters:
+                if e < 0:
+                    if pairing is None:
+                        raise ValueError(
+                            "negative exponent needs the inverse pairing"
+                        )
+                    i, e = pairing[i], -e
+                for _ in range(e):
+                    x = action.sigma[i][x]
+            if x != v:
+                return RelatorViolation(rel, v)
+    return True

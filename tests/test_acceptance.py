@@ -413,7 +413,7 @@ def build_round_trip():
                 "stabilizer_fixes_base": (
                     result.succeeded
                     and all(
-                        table.apply(0, g) == 0 for g in result.stabilizer_words
+                        table.permutation(g)[0] == 0 for g in result.stabilizer_words
                     )
                 ),
             }

@@ -428,6 +428,25 @@ def test_usage_errors_are_bad_input(capsys):
     assert code == 0 and "--graph" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("ball", "--radius", "1", "--max-vertices", "-5"),
+        ("ball", "--radius", "1", "--max-vertices", "0"),
+        ("ball", "--radius", "1", "--max-vertices", "x"),
+        ("quotients", "--degree", "3", "--max-nodes", "-1"),
+        ("witness", "--max-degree", "1", "--max-nodes", "0"),
+        ("witness", "--max-degree", "1", "--max-vertices", "-2"),
+        ("cosets", "--presentation", "unused.pres", "--max-cosets", "-3"),
+    ),
+)
+def test_caps_below_one_are_bad_input(capsys, argv):
+    # Exit 2 would claim a resource cap was reached.
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "expected an integer >= 1" in err
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")

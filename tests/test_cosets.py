@@ -4,11 +4,11 @@ witness report."""
 import json
 
 import pytest
+from conftest import ROUND_TRIP_FIXTURES
 from oracles import brute_hom_classes
 
 from lml.cosets import (
     CosetTable,
-    FiniteQuotientHom,
     IndexExceedsBound,
     default_witness,
     enumerate_homs,
@@ -17,10 +17,12 @@ from lml.cosets import (
     witness_report,
 )
 from lml.fixtures import cycle_graph
+from lml.reconstruct import check_factors, present_on_S
 from lml.words import (
     Presentation,
     ResourceLimitError,
     bs_presentation,
+    bs_s10_setup,
     parse_word,
     word,
 )
@@ -48,9 +50,9 @@ def test_cyclic_quotient_table():
     assert table.cosets == 5
     assert table.forward == ((1, 2, 3, 4, 0),)
     assert table.backward == ((4, 0, 1, 2, 3),)
-    assert table.apply(0, zw("x^3")) == 3
-    assert table.apply(0, zw("x^-2")) == 3
-    assert table.apply(2, zw("x^7")) == 4
+    assert table.permutation(zw("x^3"))[0] == 3
+    assert table.permutation(zw("x^-2"))[0] == 3
+    assert table.permutation(zw("x^7"))[2] == 4
 
 
 def test_s3_subgroup_indices():
@@ -72,8 +74,8 @@ def test_lattice_index_two(z2_setup):
         presentation, [parse_word("x", alph), parse_word("y^2", alph)]
     )
     assert table.cosets == 2
-    assert table.apply(0, parse_word("y", alph)) == 1
-    assert table.apply(0, parse_word("x", alph)) == 0
+    assert table.permutation(parse_word("y", alph))[0] == 1
+    assert table.permutation(parse_word("x", alph))[0] == 0
 
 
 def test_fixture_presentations_have_the_right_order(group_fixture):
@@ -152,6 +154,40 @@ def test_realization_of_regular_action_is_clean(group_fixture):
     )
 
 
+@pytest.mark.parametrize(
+    "name, subgroup, cosets, loops, parallels",
+    (
+        # S4's a is an involution: its column gives each edge from both ends.
+        ("S4", "a", 12, 2, 2),
+        ("S4", "b", 6, 2, 4),
+        ("S4", "b^2", 12, 0, 2),
+        ("F21", "a", 3, 3, 6),
+        ("F21", "b", 7, 3, 8),
+        ("F42", "a", 6, 6, 0),
+        ("F42", "b a b", 14, 2, 5),
+    ),
+)
+def test_realization_drop_counts_on_subgroup_tables(
+    name, subgroup, cosets, loops, parallels
+):
+    (fx,) = [f for f in ROUND_TRIP_FIXTURES if f.name == name]
+    pres = fx.presentation()
+    table = todd_coxeter(pres, [parse_word(subgroup, pres.generators)])
+    genset = fx.genset()
+    real = schreier_from_table(table, genset)
+    assert real.graph.vertex_count == cosets
+    assert (real.loops_dropped, real.parallels_dropped) == (loops, parallels)
+    # One letter of each inverse pair already gives every edge.
+    paired = {
+        (min(u, v), max(u, v))
+        for i, col in enumerate(real.action.sigma)
+        if i <= genset.inverse_pairing[i]
+        for u, v in enumerate(col)
+        if u != v
+    }
+    assert set(real.graph.edges) == paired
+
+
 # ---------------------------------------------------------------------------
 # quotient enumeration
 
@@ -166,11 +202,10 @@ def test_enumerate_homs_matches_brute_force(presentation, k):
     got = enumerate_homs(presentation, k)
     relators = [r.letters for r in presentation.relators]
     want = brute_hom_classes(len(presentation.generators), relators, k)
-    assert [h.images for h in got] == want
+    assert [h.forward for h in got] == want
     identity = tuple(range(k))
     for h in got:
-        assert h.degree == k
-        assert h.is_transitive()
+        assert h.cosets == k
         for rel in presentation.relators:
             assert h.permutation(rel) == identity
 
@@ -188,6 +223,18 @@ def test_enumerate_homs_matches_sympy_low_index(m, n):
         want[len(table.table) - 1] += 1
     pres = bs_presentation(m, n)
     assert [len(enumerate_homs(pres, k)) for k in range(1, 6)] == want
+
+
+def test_bs_quotients_realize_over_s10():
+    engine, genset, presentation = bs_s10_setup(9, 10)
+    relators, _ = present_on_S(presentation, genset, engine)
+    for k in range(1, 7):
+        for table in enumerate_homs(presentation, k):
+            real = schreier_from_table(table, genset)
+            assert real.action.vertex_count == k
+            assert check_factors(
+                real.action, relators, genset.inverse_pairing
+            ) is True
 
 
 def test_enumerate_homs_reaches_degree_eight():
@@ -212,9 +259,9 @@ def test_enumerate_homs_argument_checks():
 
 def test_hom_payloads():
     (h,) = enumerate_homs(Z_PRES, 3)
-    assert h.images == ((1, 2, 0),)
+    assert h.forward == ((1, 2, 0),)
+    assert h.generator_names == ("x",)
     assert h.permutation(zw("x^3")) == (0, 1, 2)
-    assert h.to_jsonable() == {"degree": 3, "images": [[1, 2, 0]]}
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +301,7 @@ def test_witness_report_small_scan():
         classes = brute_hom_classes(2, relators, degree)
         assert len(classes) == expected
         for images in classes:
-            h = FiniteQuotientHom(degree, images)
+            h = CosetTable(("a", "b"), degree, images)
             if h.permutation(rep.witness) != tuple(range(degree)):
                 trivial = False
     assert rep.all_trivial == trivial is True

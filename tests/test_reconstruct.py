@@ -2,11 +2,12 @@
 reconstruction pipeline."""
 
 import json
+import random
 import sys
 
 import pytest
 from conftest import ROUND_TRIP_FIXTURES
-from oracles import oracle_reconstruct
+from oracles import oracle_reconstruct, pointwise_check_factors
 
 from lml import balls, iso, localmodel
 from lml.balls import FiniteGraph, cayley_ball
@@ -30,6 +31,7 @@ from lml.words import (
     FinitePermutationEngine,
     FreeEngine,
     Presentation,
+    ResourceLimitError,
     bs_s10_setup,
     parse_word,
     validate_genset,
@@ -129,7 +131,7 @@ def test_build_action_rotation(z_setup):
     action = build_action(cycle_graph(6), rotation_labeling(6), genset)
     assert action.sigma[0] == (1, 2, 3, 4, 5, 0)
     assert action.sigma[1] == (5, 0, 1, 2, 3, 4)
-    assert action.apply(0, 4) == 5
+    assert action.sigma[0][4] == 5
     assert action.underlying_graph() == cycle_graph(6)
     assert action.to_jsonable()["sigma"][0] == [1, 2, 3, 4, 5, 0]
 
@@ -188,6 +190,26 @@ def test_present_on_s_derived_letters_get_definitions():
     assert r_prime == 4
 
 
+def test_present_on_s_caps_each_distance_search(monkeypatch):
+    fx = ROUND_TRIP_FIXTURES[0]
+    graph = full_cayley_graph(fx)[3]
+    caps = []
+    original = balls.distance
+
+    def spy(engine, genset, g, max_explored=balls.DEFAULT_MAX_VERTICES):
+        caps.append(max_explored)
+        return original(engine, genset, g, max_explored)
+
+    monkeypatch.setattr(sys.modules["lml.reconstruct"], "distance", spy)
+    res = reconstruct(
+        graph, fx.engine(), fx.genset(), fx.presentation(), 2, max_vertices=14
+    )
+    assert res.succeeded and res.r_prime == 2
+    assert caps and set(caps) == {14}
+    with pytest.raises(ResourceLimitError, match="max_explored=2"):
+        present_on_S(fx.presentation(), fx.genset(), fx.engine(), 2)
+
+
 def test_present_on_s_missing_base_letter(z2_setup):
     engine, _, presentation = z2_setup
     thin = validate_genset(
@@ -224,6 +246,74 @@ def test_check_factors_negative_exponents():
     assert check_factors(action, [rel], pairing=(1, 0)) is True
     with pytest.raises(ValueError, match="pairing"):
         check_factors(action, [rel])
+
+
+def random_action(rng):
+    """A random action on 1..7 points with a consistent inverse pairing:
+    some letters are involutions paired with themselves, the rest come in
+    (permutation, inverse) pairs."""
+    n = rng.randint(1, 7)
+    sigma, pairing = [], []
+    for _ in range(rng.randint(1, 3)):
+        p = list(range(n))
+        rng.shuffle(p)
+        if rng.random() < 0.3:
+            inv = list(range(n))
+            for a in range(0, n - 1, 2):
+                inv[p[a]], inv[p[a + 1]] = p[a + 1], p[a]
+            pairing.append(len(sigma))
+            sigma.append(tuple(inv))
+        else:
+            back = [0] * n
+            for u, v in enumerate(p):
+                back[v] = u
+            pairing.extend((len(sigma) + 1, len(sigma)))
+            sigma.extend((tuple(p), tuple(back)))
+    return SchreierGraph(n, tuple(sigma)), tuple(pairing)
+
+
+def random_relators(rng, k, pairing):
+    out = []
+    for _ in range(4):
+        letters = [
+            (rng.randrange(k), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.5:
+            # w followed by w^-1 spelt through the pairing acts trivially
+            letters += [(pairing[i], abs(e)) if e > 0 else (i, -e)
+                        for i, e in reversed(letters)]
+        out.append(word(letters))
+    rng.shuffle(out)
+    return out
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as err:
+        assert "pairing" in str(err)
+        return "raised"
+
+
+def test_check_factors_matches_pointwise_oracle():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        action, pairing = random_action(rng)
+        relators = random_relators(rng, len(action.sigma), pairing)
+        got = check_factors(action, relators, pairing)
+        assert got == pointwise_check_factors(action, relators, pairing)
+        # Without the pairing a negative exponent raises, unless an
+        # earlier relator is already violated.
+        unpaired = [
+            outcome(check, action, relators)
+            for check in (check_factors, pointwise_check_factors)
+        ]
+        assert unpaired[0] == unpaired[1]
+        for result in (got, unpaired[0]):
+            outcomes.add("violated" if result not in (True, "raised") else result)
+    assert outcomes == {True, "violated", "raised"}
 
 
 def test_stabilizer_of_cycle_rotation(z_setup):
