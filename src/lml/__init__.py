@@ -42,8 +42,6 @@ from .iso import (
     automorphism_scan,
     canonical_key,
     first_rooted_isomorphism,
-    restricts_trivially,
-    rooted_automorphism_count,
     rooted_isomorphisms,
 )
 from .localmodel import (
@@ -93,7 +91,6 @@ from .words import (
     invert,
     parse_presentation,
     parse_word,
-    render_presentation,
     validate_genset,
     word,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 from .words import ParseError, ResourceLimitError, word
 
@@ -17,46 +18,49 @@ DEFAULT_MAX_VERTICES = 5_000_000
 
 
 def _check_edges(vertex_count, edges):
-    seen = set()
-    for u, v in edges:
+    """The edges, sorted; each must be a (u, v), 0 <= u < v < n, once."""
+    edges = tuple(sorted(tuple(e) for e in edges))
+    # Sorted, a repeat sits right after its first copy.
+    last = (-1, -1)
+    for e in edges:
+        u, v = e
         if not (0 <= u < v < vertex_count):
             raise ValueError(f"bad edge ({u}, {v}) for {vertex_count} vertices")
-        if (u, v) in seen:
+        if e <= last:
             raise ValueError(f"parallel edge ({u}, {v})")
-        seen.add((u, v))
+        last = e
+    return edges
 
 
-def _adjacency(vertex_count, edges):
-    adj = [[] for _ in range(vertex_count)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
-
-
-@dataclass(frozen=True)
-class FiniteGraph:
-    """Simple undirected graph on {0..n-1}; edges are (u, v) with u < v."""
-
-    vertex_count: int
-    edges: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple(sorted(tuple(e) for e in self.edges))
-        )
-        _check_edges(self.vertex_count, self.edges)
+class _Graph:
+    """Adjacency lists, made on first read, for the two graph types."""
 
     @cached_property
     def adjacency(self):
-        return _adjacency(self.vertex_count, self.edges)
+        adj = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     def degree(self, v):
         return len(self.adjacency[v])
 
 
 @dataclass(frozen=True)
-class RootedBall:
+class FiniteGraph(_Graph):
+    """Simple undirected graph on {0..n-1}; edges are (u, v) with u < v."""
+
+    vertex_count: int
+    edges: tuple
+
+    def __post_init__(self):
+        edges = _check_edges(self.vertex_count, self.edges)
+        object.__setattr__(self, "edges", edges)
+
+
+@dataclass(frozen=True)
+class RootedBall(_Graph):
     """Rooted graph with per-vertex distance from the root (vertex 0).
 
     radius is the requested construction radius; spheres beyond the last
@@ -73,11 +77,9 @@ class RootedBall:
     engine: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple(sorted(tuple(e) for e in self.edges))
-        )
         object.__setattr__(self, "dist", tuple(self.dist))
-        _check_edges(self.vertex_count, self.edges)
+        edges = _check_edges(self.vertex_count, self.edges)
+        object.__setattr__(self, "edges", edges)
         if len(self.dist) != self.vertex_count:
             raise ValueError("dist length differs from vertex count")
         if self.vertex_count and self.dist[0] != 0:
@@ -88,16 +90,9 @@ class RootedBall:
         return 0
 
     @cached_property
-    def adjacency(self):
-        return _adjacency(self.vertex_count, self.edges)
-
-    @cached_property
     def element_labels(self):
         if self.keys is not None:
             return tuple(self.engine.label(k) for k in self.keys)
-
-    def degree(self, v):
-        return len(self.adjacency[v])
 
 
 def sphere_sizes(ball):
@@ -108,6 +103,40 @@ def sphere_sizes(ball):
     return tuple(out)
 
 
+def _grow(root, neighbours, radius, max_vertices):
+    """Breadth-first ball of the given radius around root.
+
+    Returns (order, dist, edges): the vertices in discovery order (ties
+    broken by the order neighbours(x) lists them), their distances from
+    root, and the induced edges as (i, j) index pairs with i < j, each
+    taken once from its lower end, so neighbours must be symmetric.
+    Vertices at the radius add no new vertices but still give edges.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    index = {root: 0}
+    order = [root]
+    dist = [0]
+    edges = []
+    for i, x in enumerate(order):
+        d = dist[i]
+        for y in neighbours(x):
+            j = index.get(y)
+            if j is None:
+                if d == radius:
+                    continue
+                if len(order) >= max_vertices:
+                    raise ResourceLimitError(
+                        f"ball exceeds max_vertices={max_vertices}"
+                    )
+                j = index[y] = len(order)
+                order.append(y)
+                dist.append(d + 1)
+            if i < j:
+                edges.append((i, j))
+    return order, dist, edges
+
+
 def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     """Ball of the given radius around the identity in Cay(engine, genset).
 
@@ -115,42 +144,17 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     order); vertex 0 is the identity, so for a validated S and radius >= 1
     vertex i + 1 is S-letter i.  Edges are all pairs {u, u*s} with
     both endpoints inside the ball, including sphere-to-sphere edges.
-    The search runs on engine keys; labels are made only if read.
+    The search runs on engine keys, one step per (vertex, letter); labels
+    are made only if read.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    order = [engine.key(word())]
-    keys = {order[0]: 0}
-    dist = [0]
-    edges = set()
-    # One step per (vertex, letter) finds both the new vertices and the
-    # edges; vertices at the radius still look for sphere-to-sphere edges.
-    u = 0
-    while u < len(order):
-        for s in genset.words:
-            k = engine.step(order[u], s)
-            v = keys.get(k)
-            if v is None:
-                if dist[u] == radius:
-                    continue
-                if len(order) >= max_vertices:
-                    raise ResourceLimitError(
-                        f"ball exceeds max_vertices={max_vertices}"
-                    )
-                v = keys[k] = len(order)
-                order.append(k)
-                dist.append(dist[u] + 1)
-            if v != u:
-                edges.add((u, v) if u < v else (v, u))
-        u += 1
-    return RootedBall(
-        vertex_count=len(order),
-        radius=radius,
-        dist=tuple(dist),
-        edges=tuple(edges),
-        keys=tuple(order),
-        engine=engine,
+    step, letters = engine.step, genset.words
+    keys, dist, edges = _grow(
+        engine.key(word()),
+        lambda k: map(step, repeat(k), letters),
+        radius,
+        max_vertices,
     )
+    return RootedBall(len(keys), radius, dist, edges, tuple(keys), engine)
 
 
 def finite_ball(graph, v, radius):
@@ -162,37 +166,10 @@ def finite_ball_with_order(graph, v, radius):
     """finite_ball plus the BFS order: order[ball vertex] = graph vertex."""
     if not (0 <= v < graph.vertex_count):
         raise ValueError(f"vertex {v} out of range")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    order = [v]
-    dist = {v: 0}
-    frontier = [v]
-    for d in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in graph.adjacency[u]:
-                if w not in dist:
-                    dist[w] = d + 1
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    renumber = {old: new for new, old in enumerate(order)}
-    # Each induced edge is seen from both ends; keep it from the lower one.
-    edges = []
-    for x, u in enumerate(order):
-        for w in graph.adjacency[u]:
-            y = renumber.get(w)
-            if y is not None and x < y:
-                edges.append((x, y))
-    ball = RootedBall(
-        vertex_count=len(order),
-        radius=radius,
-        dist=tuple(dist[u] for u in order),
-        edges=tuple(edges),
+    order, dist, edges = _grow(
+        v, graph.adjacency.__getitem__, radius, graph.vertex_count
     )
-    return ball, tuple(order)
+    return RootedBall(len(order), radius, dist, edges), tuple(order)
 
 
 class NotReachableError(ValueError):
@@ -248,18 +225,11 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
 
 def is_connected(graph):
     """Is the graph connected?  Caches no adjacency on the graph."""
-    if graph.vertex_count == 0:
+    n = graph.vertex_count
+    if n == 0:
         return True
-    adjacency = _adjacency(graph.vertex_count, graph.edges)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == graph.vertex_count
+    adjacency = FiniteGraph(n, graph.edges).adjacency
+    return len(_grow(0, adjacency.__getitem__, n, n)[0]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +244,8 @@ def render_graph(graph):
 
 
 def render_rooted_ball(ball):
-    lines = [f"{ball.vertex_count} {len(ball.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in ball.edges)
-    lines.append(f"root {ball.root}")
-    lines.append("radius " + str(ball.radius))
-    lines.append("dist " + " ".join(str(d) for d in ball.dist))
-    return "\n".join(lines) + "\n"
+    dist = " ".join(str(d) for d in ball.dist)
+    return render_graph(ball) + f"root {ball.root}\nradius {ball.radius}\ndist {dist}\n"
 
 
 def _graph_lines(text):

@@ -26,7 +26,6 @@ from .balls import (
 from .cosets import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_NODES,
-    IndexExceedsBound,
     enumerate_homs,
     schreier_from_table,
     todd_coxeter,
@@ -39,13 +38,17 @@ from .words import (
     BaumslagSolitarEngine,
     FreeAbelianEngine,
     FreeEngine,
+    GenSet,
     GenSetError,
     LmlError,
     ParseError,
     Presentation,
     ResourceLimitError,
     S10_TEXTS,
+    _distinct_keys,
+    _perm_inverse,
     bs_presentation,
+    invert,
     parse_presentation,
     parse_word,
     validate_genset,
@@ -109,22 +112,42 @@ def _default_presentation(args, engine):
     return Presentation(names, tuple(relators))
 
 
-def _make_genset(args, engine, s_words=None):
+def _s_words(args, engine, s_words=None):
+    """S from --preset, --s or s_words, else the generators and inverses."""
     preset = getattr(args, "preset", None)
     if preset == "s10":
         if engine.kind != "bs":
             raise ValueError("--preset s10 needs --engine bs")
-        ws = [parse_word(t, engine.alphabet) for t in S10_TEXTS]
-    elif getattr(args, "s", None):
-        ws = [parse_word(p, engine.alphabet) for p in args.s.split("|")]
-    elif s_words:
-        ws = list(s_words)
-    else:
-        ws = []
-        for g in range(len(engine.alphabet)):
-            ws.append(word(((g, 1),)))
-            ws.append(word(((g, -1),)))
-    return validate_genset(engine, ws)
+        return [parse_word(t, engine.alphabet) for t in S10_TEXTS]
+    if getattr(args, "s", None):
+        return [parse_word(p, engine.alphabet) for p in args.s.split("|")]
+    if s_words:
+        return list(s_words)
+    return [word(((g, e),)) for g in range(len(engine.alphabet)) for e in (1, -1)]
+
+
+def _make_genset(args, engine):
+    return validate_genset(engine, _s_words(args, engine))
+
+
+def _coset_genset(table, ws):
+    """S checked on spellings, as an arbitrary presentation has no normal
+    form, so collapses in the group surface as drop counts.  A letter
+    whose inverse S does not spell pairs with the first letter acting by
+    the inverse permutation of the cosets (an involution with itself)."""
+    free = FreeEngine(table.generator_names)
+    seen = _distinct_keys(free, ws)
+    perms = [table.permutation(w) for w in ws]
+    first = {}
+    for k, p in enumerate(perms):
+        first.setdefault(p, k)
+    pairing = []
+    for i, w in enumerate(ws):
+        j = seen.get(free.key(invert(w)), first.get(_perm_inverse(perms[i])))
+        if j is None:
+            raise GenSetError("inverse not present in generating set", i)
+        pairing.append(j)
+    return GenSet(tuple(ws), tuple(pairing))
 
 
 def _max_vertices(args):
@@ -241,20 +264,8 @@ def cmd_cosets(args):
     table = todd_coxeter(pres, subgroup, args.max_cosets)
     obj = table.to_jsonable()
     if args.schreier:
-        if getattr(args, "s", None):
-            ws = [parse_word(p, pres.generators) for p in args.s.split("|")]
-        elif pf.s_words:
-            ws = list(pf.s_words)
-        else:
-            ws = []
-            for g in range(len(pres.generators)):
-                ws.append(word(((g, 1),)))
-                ws.append(word(((g, -1),)))
-        # Inverse closure is checked on spellings (free engine): without a
-        # normal-form engine for an arbitrary presentation, that is the
-        # honest check; element-level collapses surface as drop counts.
-        genset = validate_genset(FreeEngine(pres.generators), ws)
-        realization = schreier_from_table(table, genset)
+        ws = _s_words(args, FreeEngine(pres.generators), pf.s_words)
+        realization = schreier_from_table(table, _coset_genset(table, ws))
         obj["schreier"] = realization.to_jsonable()
     _emit(args, obj)
     return EXIT_OK
@@ -416,7 +427,7 @@ def main(argv=None):
         return EXIT_INPUT if done.code == 2 else done.code
     try:
         return args.handler(args)
-    except (ResourceLimitError, IndexExceedsBound) as err:
+    except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ParseError, GenSetError, LmlError, ValueError, OSError) as err:

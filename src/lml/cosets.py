@@ -23,7 +23,6 @@ from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, distance
 from .reconstruct import SchreierGraph
 from .words import (
     BaumslagSolitarEngine,
-    LmlError,
     ResourceLimitError,
     Word,
     _perm_compose,
@@ -38,7 +37,7 @@ DEFAULT_MAX_COSETS = 100_000
 DEFAULT_MAX_NODES = 2_000_000
 
 
-class IndexExceedsBound(LmlError):
+class IndexExceedsBound(ResourceLimitError):
     """Enumeration did not close within the coset cap (index may be infinite)."""
 
     def __init__(self, max_cosets):

@@ -180,11 +180,6 @@ def first_rooted_isomorphism(b1, b2):
     return RootedIso(p1.ball, p2.ball, res[0]).validate() if res else None
 
 
-def rooted_automorphism_count(ball):
-    order, _ = automorphism_scan(ball, -1)
-    return order
-
-
 def automorphism_scan(ball, inner_radius):
     """Exact rooted-automorphism count, without enumerating the group.
 
@@ -226,15 +221,6 @@ def automorphism_scan(ball, inner_radius):
                     witness = RootedIso(ball, ball, res[0]).validate()
         count *= orbit
     return count, witness
-
-
-def restricts_trivially(phi, radius):
-    """Does phi fix every vertex at source-distance <= radius pointwise?"""
-    return all(
-        phi.mapping[v] == v
-        for v in range(phi.source.vertex_count)
-        if phi.source.dist[v] <= radius
-    )
 
 
 def canonical_key(ball):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, is_connected
 from .iso import automorphism_scan, prepare, rooted_isomorphisms
@@ -70,13 +69,6 @@ class EdgeLabeling:
             if i in per_vertex[v]:
                 raise ValueError(f"vertex {v} repeats out-label {i}")
             per_vertex[v].add(i)
-
-    @cached_property
-    def _by_edge(self):
-        return {(v, w): i for v, w, i in self.directed}
-
-    def label(self, v, w):
-        return self._by_edge[(v, w)]
 
     def to_jsonable(self):
         return {

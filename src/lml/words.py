@@ -60,9 +60,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def flat_length(self):
-        return sum(abs(e) for _, e in self.letters)
-
     def render(self, alphabet):
         parts = []
         for g, e in self.letters:
@@ -164,12 +161,8 @@ class GenSet:
         return [w.render(alphabet) for w in self.words]
 
 
-def validate_genset(engine, words_in):
-    """Check inverse-closure, identity-freeness, and pairwise distinctness.
-
-    Distinctness is as group elements (engine keys), not as spellings.
-    """
-    ws = tuple(words_in)
+def _distinct_keys(engine, ws):
+    """{key: index} over S, once no word is the identity and no two agree."""
     keys = []
     for i, w in enumerate(ws):
         if engine.is_identity(w):
@@ -182,6 +175,16 @@ def validate_genset(engine, words_in):
                 f"duplicate of index {seen[k]} as a group element", i
             )
         seen[k] = i
+    return seen
+
+
+def validate_genset(engine, words_in):
+    """Check inverse-closure, identity-freeness, and pairwise distinctness.
+
+    Distinctness is as group elements (engine keys), not as spellings.
+    """
+    ws = tuple(words_in)
+    seen = _distinct_keys(engine, ws)
     pairing = []
     for i, w in enumerate(ws):
         inv_key = engine.key(invert(w))
@@ -210,10 +213,6 @@ class BrittonForm:
     n: int
     t0: int
     syllables: tuple = ()  # ((eps, t), ...) with eps in {+1, -1}
-
-    @property
-    def ell(self):
-        return len(self.syllables)
 
     def is_identity(self):
         return not self.syllables and self.t0 == 0
@@ -328,14 +327,11 @@ class FreeAbelianEngine(GroupEngine):
         if not self.alphabet:
             raise ValueError("free abelian engine needs at least one generator")
 
-    def exponents(self, w):
+    def key(self, w):
         out = [0] * len(self.alphabet)
         for g, e in w.letters:
             out[g] += e
         return tuple(out)
-
-    def key(self, w):
-        return self.exponents(w)
 
     def label(self, key):
         return word((g, e) for g, e in enumerate(key) if e != 0)
@@ -523,17 +519,6 @@ def parse_presentation(text):
     return PresentationFile(
         Presentation(generators, tuple(relators)), s_words
     )
-
-
-def render_presentation(presentation, s_words=None):
-    lines = ["gens " + " ".join(presentation.generators)]
-    for r in presentation.relators:
-        lines.append("rel " + r.render(presentation.generators))
-    if s_words:
-        lines.append(
-            "S " + " | ".join(w.render(presentation.generators) for w in s_words)
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

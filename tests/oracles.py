@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last five
+Everything here is deliberately naive and, apart from the last six
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last five keep an earlier
-form of a package routine and call the package for everything else.
-Speed only matters enough for the test sizes.
+algorithms, different representations.  The last six keep an earlier
+form of a package routine and call the package for everything else; the
+last of them holds the finite-ball and connectivity searches from before
+every ball was grown by one breadth-first search.  Speed only matters
+enough for the test sizes.
 """
 
 import itertools
@@ -496,3 +498,65 @@ def pointwise_check_factors(action, relators, pairing=None):
             if x != v:
                 return RelatorViolation(rel, v)
     return True
+
+
+# ---------------------------------------------------------------------------
+# finite balls by layers and an edge pass; connectivity by depth-first search
+
+
+def layered_finite_ball_with_order(graph, v, radius):
+    """finite_ball_with_order as the package built it before one search
+    grew every ball: a layered search for the vertices, then a second pass
+    over their adjacency lists for the induced edges."""
+    if not (0 <= v < graph.vertex_count):
+        raise ValueError(f"vertex {v} out of range")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    order = [v]
+    dist = {v: 0}
+    frontier = [v]
+    for d in range(radius):
+        nxt = []
+        for u in frontier:
+            for w in graph.adjacency[u]:
+                if w not in dist:
+                    dist[w] = d + 1
+                    order.append(w)
+                    nxt.append(w)
+        frontier = nxt
+        if not frontier:
+            break
+    renumber = {old: new for new, old in enumerate(order)}
+    edges = []
+    for x, u in enumerate(order):
+        for w in graph.adjacency[u]:
+            y = renumber.get(w)
+            if y is not None and x < y:
+                edges.append((x, y))
+    ball = RootedBall(
+        vertex_count=len(order),
+        radius=radius,
+        dist=tuple(dist[u] for u in order),
+        edges=tuple(edges),
+    )
+    return ball, tuple(order)
+
+
+def stack_is_connected(graph):
+    """is_connected as the package ran it before: a depth-first search
+    from vertex 0 over adjacency sets built from the edge list."""
+    if graph.vertex_count == 0:
+        return True
+    adjacency = [set() for _ in range(graph.vertex_count)]
+    for u, v in graph.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.vertex_count

@@ -27,7 +27,7 @@ from lml.cosets import (
     witness_report,
 )
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
-from lml.iso import RootedIso, rooted_automorphism_count, rooted_isomorphisms
+from lml.iso import RootedIso, automorphism_scan, rooted_isomorphisms
 from lml.localmodel import fixing_radius, verify_model
 from lml.reconstruct import reconstruct
 from lml.words import (
@@ -141,7 +141,7 @@ def build_lattice_quotients():
             entries.append(entry)
     return {
         "schema": 1,
-        "ball_automorphisms": rooted_automorphism_count(ball),
+        "ball_automorphisms": automorphism_scan(ball, -1)[0],
         "entries": entries,
         "all_accepted": all(e["accepted"] for e in entries),
         "all_ambiguous": all(

@@ -2,7 +2,11 @@ import random
 
 import pytest
 from conftest import AB, wd
-from oracles import two_pass_cayley_ball
+from oracles import (
+    layered_finite_ball_with_order,
+    stack_is_connected,
+    two_pass_cayley_ball,
+)
 
 from lml.balls import (
     FiniteGraph,
@@ -35,14 +39,23 @@ from lml.words import (
 )
 
 
-def random_graph(rng, n):
+def random_graph(rng, n, p=0.4):
     edges = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if rng.random() < 0.4
+        if rng.random() < p
     ]
     return FiniteGraph(n, tuple(edges))
+
+
+def relabelled(graph, rng):
+    perm = list(range(graph.vertex_count))
+    rng.shuffle(perm)
+    return FiniteGraph(
+        graph.vertex_count,
+        tuple(tuple(sorted((perm[u], perm[v]))) for u, v in graph.edges),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +72,17 @@ def test_finite_graph_validates_edges():
     g = FiniteGraph(3, ((1, 2), (0, 1)))
     assert g.edges == ((0, 1), (1, 2))
     assert g.adjacency[1] == (0, 2)
+
+
+def test_graphs_reject_a_repeated_edge_before_a_later_bad_one():
+    # Sorted, the repeat of (0, 1) comes before the out-of-range (0, 5).
+    for edges in (((0, 1), (0, 5), (0, 1)), ((0, 5), [0, 1], (0, 1))):
+        with pytest.raises(ValueError, match=r"parallel edge \(0, 1\)"):
+            FiniteGraph(3, edges)
+        with pytest.raises(ValueError, match=r"parallel edge \(0, 1\)"):
+            RootedBall(3, 1, (0, 1, 1), edges)
+    with pytest.raises(ValueError, match=r"bad edge \(0, 0\)"):
+        FiniteGraph(3, ((0, 1), (0, 0), (0, 1)))
 
 
 def test_rooted_ball_validates_dist():
@@ -228,6 +252,36 @@ def test_finite_ball_edges_match_all_edges_scan():
             assert ball.edges == tuple(scanned)
 
 
+def assert_balls_match_layered_search(graph, radii):
+    for v in range(graph.vertex_count):
+        for r in radii:
+            ball, order = finite_ball_with_order(graph, v, r)
+            want, want_order = layered_finite_ball_with_order(graph, v, r)
+            assert (ball.dist, ball.edges, order) == (
+                want.dist, want.edges, want_order
+            )
+
+
+def test_finite_ball_matches_layered_search_on_random_graphs():
+    # Sparse draws leave isolated vertices and several components.
+    rng = random.Random(1111)
+    isolated = disconnected = 0
+    for _ in range(60):
+        graph = random_graph(rng, rng.randrange(1, 12), rng.choice((0.1, 0.25, 0.5)))
+        assert_balls_match_layered_search(graph, range(5))
+        isolated += any(not nbrs for nbrs in graph.adjacency)
+        disconnected += not is_connected(graph)
+    assert isolated and disconnected
+
+
+def test_finite_ball_matches_layered_search_on_lattices():
+    # Radius 4 is past the diameter of the 4x3 grids.
+    rng = random.Random(2222)
+    for graph in (torus_grid(4, 3), fixture_klein(4, 3), torus_grid(7, 9),
+                  fixture_klein(8, 5)):
+        assert_balls_match_layered_search(relabelled(graph, rng), range(5))
+
+
 def test_finite_ball_bfs_order_sorted_by_distance():
     rng = random.Random(8)
     for _ in range(50):
@@ -368,6 +422,21 @@ def test_is_connected():
     assert is_connected(FiniteGraph(0, ()))
     two = FiniteGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))
     assert not is_connected(two)
+
+
+def test_is_connected_matches_depth_first_search():
+    rng = random.Random(3333)
+    graphs = [FiniteGraph(0, ()), FiniteGraph(1, ()), FiniteGraph(2, ())]
+    graphs += [
+        random_graph(rng, rng.randrange(1, 12), rng.choice((0.1, 0.25, 0.5)))
+        for _ in range(200)
+    ]
+    graphs += [relabelled(torus_grid(5, 4), rng), relabelled(fixture_klein(6, 3), rng)]
+    answers = [is_connected(g) for g in graphs]
+    assert answers == [stack_is_connected(g) for g in graphs]
+    assert True in answers and False in answers
+    # The graph's own adjacency stays uncomputed.
+    assert all("adjacency" not in vars(g) for g in graphs)
 
 
 def test_fixture_shapes():

@@ -17,7 +17,9 @@ from lml.balls import (
 )
 from lml import cli
 from lml.cli import main
+from lml.cosets import todd_coxeter
 from lml.fixtures import cycle_graph, torus_grid
+from lml.words import parse_presentation
 
 
 def run(capsys, *argv):
@@ -330,6 +332,36 @@ def test_cosets_infinite_index(capsys, tmp_path):
         "--subgroup", "a", "--max-cosets", "100",
     )
     assert code == 2 and "100" in err
+
+
+S4_PRESENTATION = "gens a b\nrel a^2\nrel b^4\nrel a b a b a b\n"
+
+
+def test_cosets_schreier_pairs_an_involution_with_itself(capsys, tmp_path):
+    # S spells no a^-1, but a acts on the cosets as its own inverse.
+    pres = tmp_path / "s4.pres"
+    pres.write_text(S4_PRESENTATION + "S a | b | b^-1 | a b | b^-1 a^-1\n")
+    code, doc, _ = run_json(capsys, "cosets", "--presentation", str(pres), "--schreier")
+    assert code == 0 and doc["cosets"] == 24
+    sch = doc["schreier"]
+    assert len(sch["graph"]["edges"]) == 60
+    assert sch["loops_dropped"] == 0 and sch["parallels_dropped"] == 0
+    pf = parse_presentation(pres.read_text())
+    table = todd_coxeter(pf.presentation, [])
+    assert cli._coset_genset(table, pf.s_words).inverse_pairing == (0, 2, 1, 4, 3)
+    # The default S spells a^-1, which acts like a: the a-edges come twice.
+    pres.write_text(S4_PRESENTATION)
+    code, doc, _ = run_json(capsys, "cosets", "--presentation", str(pres), "--schreier")
+    assert code == 0
+    sch = doc["schreier"]
+    assert len(sch["graph"]["edges"]) == 36
+    assert sch["loops_dropped"] == 0 and sch["parallels_dropped"] == 12
+    # No letter acts as b^-1, so S is still refused.
+    code, _, err = run(capsys, "cosets", "--presentation", str(pres), "--schreier", "--s", "a | b")
+    assert code == 3 and "inverse not present" in err and "(index 1)" in err
+    # The enumeration cap is a resource limit.
+    code, _, err = run(capsys, "cosets", "--presentation", str(pres), "--max-cosets", "23")
+    assert code == 2 and "23" in err
 
 
 def test_quotients_default_engine(capsys):

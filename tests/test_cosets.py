@@ -88,6 +88,7 @@ def test_infinite_index_hits_the_cap():
     with pytest.raises(IndexExceedsBound) as info:
         todd_coxeter(free2, [parse_word("a", ("a", "b"))], max_cosets=200)
     assert info.value.max_cosets == 200
+    assert isinstance(info.value, ResourceLimitError)
 
 
 def test_todd_coxeter_is_deterministic():

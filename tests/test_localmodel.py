@@ -8,7 +8,7 @@ from oracles import classify_verify_model
 
 from lml.balls import FiniteGraph, cayley_ball
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
-from lml.iso import RootedIso, canonical_key, restricts_trivially
+from lml.iso import RootedIso, canonical_key
 from lml.localmodel import fixing_radius, verify_model
 from lml.words import ResourceLimitError
 
@@ -197,8 +197,8 @@ def test_fixing_radius_line_never_pins(z_setup):
     assert len(report.moving_witnesses) == 5
     for rho, mapping in report.moving_witnesses:
         ball = cayley_ball(engine, genset, rho)
-        phi = RootedIso(ball, ball, mapping).validate()
-        assert not restricts_trivially(phi, 2)
+        RootedIso(ball, ball, mapping).validate()
+        assert any(mapping[v] != v for v, d in enumerate(ball.dist) if d <= 2)
 
 
 def test_fixing_radius_zero_is_immediate(z_setup):
@@ -232,8 +232,8 @@ def test_fixing_radius_bs_concrete(bs_setup):
     ((rho, mapping),) = report.moving_witnesses
     assert rho == 2
     ball = cayley_ball(engine, genset, 2)
-    phi = RootedIso(ball, ball, mapping).validate()
-    assert not restricts_trivially(phi, 2)
+    RootedIso(ball, ball, mapping).validate()
+    assert any(mapping[v] != v for v, d in enumerate(ball.dist) if d <= 2)
 
 
 def test_fixing_radius_bs_from_radius_three(bs_setup):
@@ -245,8 +245,8 @@ def test_fixing_radius_bs_from_radius_three(bs_setup):
     ((rho, mapping),) = report.moving_witnesses
     assert rho == 3
     ball = cayley_ball(engine, genset, 3)
-    phi = RootedIso(ball, ball, mapping).validate()
-    assert not restricts_trivially(phi, 3)
+    RootedIso(ball, ball, mapping).validate()
+    assert any(mapping[v] != v for v, d in enumerate(ball.dist) if d <= 3)
 
 
 def test_fixing_radius_jsonable(z_setup):
