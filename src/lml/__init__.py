@@ -30,6 +30,7 @@ from .cosets import (
     IndexExceedsBound,
     SchreierRealization,
     WitnessReport,
+    coset_genset,
     default_witness,
     enumerate_homs,
     schreier_from_table,

@@ -32,16 +32,20 @@ def _check_edges(vertex_count, edges):
     return edges
 
 
+def _adjacency(vertex_count, edges):
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
 class _Graph:
     """Adjacency lists, made on first read, for the two graph types."""
 
     @cached_property
     def adjacency(self):
-        adj = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return _adjacency(self.vertex_count, self.edges)
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -226,10 +230,8 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
 def is_connected(graph):
     """Is the graph connected?  Caches no adjacency on the graph."""
     n = graph.vertex_count
-    if n == 0:
-        return True
-    adjacency = FiniteGraph(n, graph.edges).adjacency
-    return len(_grow(0, adjacency.__getitem__, n, n)[0]) == n
+    adjacency = _adjacency(n, graph.edges)
+    return n == 0 or len(_grow(0, adjacency.__getitem__, n, n)[0]) == n
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .balls import (
 from .cosets import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_NODES,
+    coset_genset,
     enumerate_homs,
     schreier_from_table,
     todd_coxeter,
@@ -38,17 +39,11 @@ from .words import (
     BaumslagSolitarEngine,
     FreeAbelianEngine,
     FreeEngine,
-    GenSet,
-    GenSetError,
     LmlError,
-    ParseError,
     Presentation,
     ResourceLimitError,
     S10_TEXTS,
-    _distinct_keys,
-    _perm_inverse,
     bs_presentation,
-    invert,
     parse_presentation,
     parse_word,
     validate_genset,
@@ -128,26 +123,6 @@ def _s_words(args, engine, s_words=None):
 
 def _make_genset(args, engine):
     return validate_genset(engine, _s_words(args, engine))
-
-
-def _coset_genset(table, ws):
-    """S checked on spellings, as an arbitrary presentation has no normal
-    form, so collapses in the group surface as drop counts.  A letter
-    whose inverse S does not spell pairs with the first letter acting by
-    the inverse permutation of the cosets (an involution with itself)."""
-    free = FreeEngine(table.generator_names)
-    seen = _distinct_keys(free, ws)
-    perms = [table.permutation(w) for w in ws]
-    first = {}
-    for k, p in enumerate(perms):
-        first.setdefault(p, k)
-    pairing = []
-    for i, w in enumerate(ws):
-        j = seen.get(free.key(invert(w)), first.get(_perm_inverse(perms[i])))
-        if j is None:
-            raise GenSetError("inverse not present in generating set", i)
-        pairing.append(j)
-    return GenSet(tuple(ws), tuple(pairing))
 
 
 def _max_vertices(args):
@@ -265,7 +240,7 @@ def cmd_cosets(args):
     obj = table.to_jsonable()
     if args.schreier:
         ws = _s_words(args, FreeEngine(pres.generators), pf.s_words)
-        realization = schreier_from_table(table, _coset_genset(table, ws))
+        realization = schreier_from_table(table, coset_genset(table, ws))
         obj["schreier"] = realization.to_jsonable()
     _emit(args, obj)
     return EXIT_OK
@@ -430,7 +405,7 @@ def main(argv=None):
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, GenSetError, LmlError, ValueError, OSError) as err:
+    except (LmlError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

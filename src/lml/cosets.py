@@ -23,13 +23,17 @@ from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, distance
 from .reconstruct import SchreierGraph
 from .words import (
     BaumslagSolitarEngine,
+    FreeEngine,
+    GenSet,
     ResourceLimitError,
     Word,
+    _distinct_keys,
     _perm_compose,
     _perm_inverse,
     _word_permutation,
     bs_presentation,
     bs_s10_setup,
+    invert,
     word,
 )
 
@@ -251,6 +255,23 @@ class SchreierRealization:
             "loops_dropped": self.loops_dropped,
             "parallels_dropped": self.parallels_dropped,
         }
+
+
+def coset_genset(table, ws):
+    """S for schreier_from_table, checked on spellings: an arbitrary
+    presentation has no normal form, so collapses surface as drop counts.
+    A letter whose inverse S does not spell pairs with the first letter
+    acting by the inverse permutation (an involution with itself); GenSet
+    refuses a pairing that is not an involution.
+    """
+    free = FreeEngine(table.generator_names)
+    seen = _distinct_keys(free, ws)
+    perms = [table.permutation(w) for w in ws]
+    first = {p: k for k, p in reversed(list(enumerate(perms)))}
+    return GenSet(tuple(ws), tuple(
+        seen.get(free.key(invert(w)), first.get(_perm_inverse(p)))
+        for w, p in zip(ws, perms)
+    ))
 
 
 def schreier_from_table(table, genset):

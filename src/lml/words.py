@@ -147,12 +147,18 @@ class Presentation:
 class GenSet:
     """Validated generating set: words over the presentation alphabet.
 
-    inverse_pairing[i] is the index of the inverse of words[i]; it is an
-    involution on indices.  Construct through validate_genset.
+    inverse_pairing[i] is the index of the inverse of words[i]; it must be
+    an involution on indices.  Construct through validate_genset.
     """
 
     words: tuple
     inverse_pairing: tuple
+
+    def __post_init__(self):
+        pairing = self.inverse_pairing
+        for i, j in enumerate(pairing):
+            if j is None or pairing[j] != i:
+                raise GenSetError("inverse not present in generating set", i)
 
     def __len__(self):
         return len(self.words)
@@ -185,13 +191,7 @@ def validate_genset(engine, words_in):
     """
     ws = tuple(words_in)
     seen = _distinct_keys(engine, ws)
-    pairing = []
-    for i, w in enumerate(ws):
-        inv_key = engine.key(invert(w))
-        if inv_key not in seen:
-            raise GenSetError("inverse not present in generating set", i)
-        pairing.append(seen[inv_key])
-    return GenSet(ws, tuple(pairing))
+    return GenSet(ws, tuple(seen.get(engine.key(invert(w))) for w in ws))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from lml.balls import (
 )
 from lml import cli
 from lml.cli import main
-from lml.cosets import todd_coxeter
+from lml.cosets import coset_genset, todd_coxeter
 from lml.fixtures import cycle_graph, torus_grid
 from lml.words import parse_presentation
 
@@ -348,7 +348,7 @@ def test_cosets_schreier_pairs_an_involution_with_itself(capsys, tmp_path):
     assert sch["loops_dropped"] == 0 and sch["parallels_dropped"] == 0
     pf = parse_presentation(pres.read_text())
     table = todd_coxeter(pf.presentation, [])
-    assert cli._coset_genset(table, pf.s_words).inverse_pairing == (0, 2, 1, 4, 3)
+    assert coset_genset(table, pf.s_words).inverse_pairing == (0, 2, 1, 4, 3)
     # The default S spells a^-1, which acts like a: the a-edges come twice.
     pres.write_text(S4_PRESENTATION)
     code, doc, _ = run_json(capsys, "cosets", "--presentation", str(pres), "--schreier")
@@ -362,6 +362,11 @@ def test_cosets_schreier_pairs_an_involution_with_itself(capsys, tmp_path):
     # The enumeration cap is a resource limit.
     code, _, err = run(capsys, "cosets", "--presentation", str(pres), "--max-cosets", "23")
     assert code == 2 and "23" in err
+    # x^5 acts as x^-1, which S pairs with x: no involution, so S is refused.
+    pres.write_text("gens x\nrel x^6\nS x^5 | x | x^-1\n")
+    code, out, err = run(capsys, "cosets", "--presentation", str(pres), "--schreier")
+    assert code == 3 and out == ""
+    assert "inverse not present in generating set (index 0)" in err
 
 
 def test_quotients_default_engine(capsys):

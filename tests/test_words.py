@@ -7,6 +7,7 @@ from lml.words import (
     FinitePermutationEngine,
     FreeAbelianEngine,
     FreeEngine,
+    GenSet,
     GenSetError,
     ParseError,
     Presentation,
@@ -86,6 +87,7 @@ def test_word_algebra_properties():
         assert sum(abs(e) for _, e in u.letters) == sum(
             abs(e) for _, e in invert(u).letters
         )
+    assert len(wd("a^3 b^-2")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +280,24 @@ def test_validate_genset_errors():
     with pytest.raises(GenSetError) as info:
         validate_genset(eng, [wd("a"), wd("a^-1"), wd("b b^-1")])
     assert info.value.index == 2
-    with pytest.raises(GenSetError):
+    with pytest.raises(GenSetError) as info:
         validate_genset(eng, [wd("a"), wd("a^-1"), wd("b")])
+    assert info.value.index == 2 and "inverse not present" in str(info.value)
     eng2 = FreeAbelianEngine(AB)
     with pytest.raises(GenSetError):
         # a b and b a collide as abelian group elements
         validate_genset(
             eng2, [wd("a b"), wd("b a"), wd("b^-1 a^-1"), wd("a^-1 b^-1")]
         )
+
+
+def test_genset_refuses_a_pairing_that_is_not_an_involution():
+    ws = (wd("a^5"), wd("a"), wd("a^-1"))
+    assert GenSet(ws, (0, 2, 1)).inverse_pairing == (0, 2, 1)
+    for pairing, index in (((1, 2, 1), 0), ((0, 2, None), 1)):
+        with pytest.raises(GenSetError) as info:
+            GenSet(ws, pairing)
+        assert info.value.index == index
 
 
 def test_s10_preset_shape():
