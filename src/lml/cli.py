@@ -56,9 +56,7 @@ EXIT_RESOURCE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-_MAX_NODES_HELP = (
-    "cap on the coset-table entries the low-index search tries per degree"
-)
+_MAX_NODES_HELP = "cap on the coset-table entries the low-index search tries"
 
 # bytes per ball vertex assumed when translating LML_MAX_MEM into a cap
 _BYTES_PER_VERTEX = 500

@@ -9,7 +9,8 @@ and parallel edges it had to drop.  enumerate_homs (Sims' low-index
 search) lists the transitive degree-k permutation quotients as coset
 tables, one per conjugacy class of index-k subgroups.  witness_report
 bundles evidence that the witness element of BS(m, n) is nontrivial yet
-maps to the identity in every quotient of degree <= K, with d(e, witness).
+maps to the identity in every quotient of degree <= K (one search to
+degree K finds them all), with d(e, witness).
 """
 
 from __future__ import annotations
@@ -17,21 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, distance
 from .reconstruct import SchreierGraph
 from .words import (
-    BaumslagSolitarEngine,
     FreeEngine,
     GenSet,
     ResourceLimitError,
     Word,
     _distinct_keys,
-    _perm_compose,
     _perm_inverse,
     _word_permutation,
-    bs_presentation,
     bs_s10_setup,
     invert,
     word,
@@ -96,6 +93,16 @@ class CosetTable:
         }
 
 
+def _columns(w, ngen):
+    """w's letters as table columns: 2g for generator g, 2g+1 for g^-1."""
+    out = []
+    for g, e in w.letters:
+        if not 0 <= g < ngen:
+            raise ValueError(f"letter {g} outside the presentation alphabet")
+        out.extend([2 * g + (e < 0)] * abs(e))
+    return out
+
+
 def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate cosets of <subgroup_gens> in the presented group.
 
@@ -107,14 +114,7 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
     """
     ngen = len(presentation.generators)
     ncols = 2 * ngen
-
-    def cols_of(w):
-        out = []
-        for g, e in w.letters:
-            if not 0 <= g < ngen:
-                raise ValueError(f"letter {g} outside the presentation alphabet")
-            out.extend([2 * g if e > 0 else 2 * g + 1] * abs(e))
-        return out
+    relators = [_columns(rel, ngen) for rel in presentation.relators]
 
     table = [[None] * ncols]
     parent = [0]
@@ -192,14 +192,14 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
             define(f, cols[i])
 
     for w in subgroup_gens:
-        scan_and_fill(0, cols_of(w))
+        scan_and_fill(0, _columns(w, ngen))
     i = 0
     while i < len(table):
         if find(i) == i:
-            for rel in presentation.relators:
+            for cols in relators:
                 if find(i) != i:
                     break
-                scan_and_fill(i, cols_of(rel))
+                scan_and_fill(i, cols)
             if find(i) == i:
                 for c in range(ncols):
                     if entry(i, c) is None:
@@ -208,22 +208,13 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
 
     live = [u for u in range(len(table)) if find(u) == u]
     renumber = {old: new for new, old in enumerate(live)}
-    forward = []
-    for g in range(ngen):
-        col = []
-        for old in live:
-            v = entry(old, 2 * g)
-            assert v is not None, "incomplete table survived the main loop"
-            col.append(renumber[v])
-        forward.append(tuple(col))
-    for g in range(ngen):
-        back = tuple(renumber[entry(old, 2 * g + 1)] for old in live)
-        assert back == _perm_inverse(forward[g]), "inverse column mismatch"
-    return CosetTable(
-        generator_names=tuple(presentation.generators),
-        cosets=len(live),
-        forward=tuple(forward),
+    forward = tuple(
+        tuple(renumber[entry(u, 2 * g)] for u in live) for g in range(ngen)
     )
+    for g, col in enumerate(forward):
+        back = tuple(renumber[entry(u, 2 * g + 1)] for u in live)
+        assert back == _perm_inverse(col), "inverse column mismatch"
+    return CosetTable(tuple(presentation.generators), len(live), forward)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +296,43 @@ def schreier_from_table(table, genset):
 # finite quotients of a fixed degree
 
 
-def _canonical_images(images, perms):
-    best = None
-    for c in perms:
-        cinv = _perm_inverse(c)
-        conj = tuple(
-            _perm_compose(_perm_compose(cinv, p), c) for p in images
-        )
-        if best is None or conj < best:
-            best = conj
-    return best
+def _least_conjugate(images, k):
+    """The lex-least relabelling of a tuple of permutations of 0..k-1.
+
+    Entries are filled in generator-major order, the order conjugates
+    compare in: entry (g, y) is the label of images[g][point[y]].  A new
+    image takes the least unused label, which is forced, so the search
+    branches only where label y has no point yet, over every unlabelled
+    point.  A branch is cut once it exceeds the best complete relabelling.
+    """
+    total = len(images) * k
+    best = [k] * total  # above every relabelling
+    stack = [([], [])]
+    while stack:
+        point, out = stack.pop()
+        head = best[:len(out)]
+        if out > head:
+            continue
+        tied = out == head
+        label = {x: y for y, x in enumerate(point)}
+        while len(out) < total:
+            g, y = divmod(len(out), k)
+            if y == len(point):
+                stack.extend((point + [x], out[:]) for x in range(k - 1, -1, -1)
+                             if x not in label)
+                break
+            u = images[g][point[y]]
+            v = label.setdefault(u, len(point))
+            if v == len(point):
+                point.append(u)
+            if tied and v != best[len(out)]:
+                if v > best[len(out)]:
+                    break
+                tied = False
+            out.append(v)
+        else:
+            best = out
+    return tuple(tuple(best[i:i + k]) for i in range(0, total, k))
 
 
 def _deduce(table, n, ncols, relators):
@@ -371,48 +389,43 @@ def _least_in_class(table, n, ncols):
     return True
 
 
-def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
-    """All transitive degree-k permutation quotients, up to conjugacy.
+def _low_index(presentation, max_degree, max_nodes):
+    """Per degree 1..max_degree, the generator images of one transitive
+    quotient per conjugacy class, in one search.
 
-    Sims' low-index search over partial coset tables on k points (column
-    2g for generator g, 2g+1 for its inverse), with an explicit stack.
-    Each node fills the first undefined entry with an existing coset or
-    the next new one, then runs _deduce and _least_in_class, so each
-    conjugacy class of index-k subgroups yields one table, transitive as
-    it grows from coset 0.  max_nodes caps the table entries tried.
-    Returns coset tables on the canonical (lex-least conjugate) images,
-    sorted by those images.
+    Sims' low-index search over partial coset tables (column 2g for
+    generator g, 2g+1 for its inverse), with an explicit stack.  Each node
+    fills the first undefined entry with an existing coset or the next new
+    one, then runs _deduce and _least_in_class.  A table complete on n
+    cosets is a leaf and a degree-n class.  The search to a lower degree
+    tries a subset of these nodes, so max_nodes (table entries tried) is
+    hit here exactly when some such search would hit it.
     """
-    if k < 1:
-        raise ValueError("degree must be >= 1")
     ngen = len(presentation.generators)
     ncols = 2 * ngen
-    relators = [
-        [2 * g + 1 if e < 0 else 2 * g for g, e in rel.letters
-         for _ in range(abs(e))]
-        for rel in presentation.relators if rel.letters
-    ]
-    if any(not 0 <= c < ncols for cols in relators for c in cols):
-        raise ValueError("relator letter outside the presentation alphabet")
-    found = []
+    relators = [_columns(rel, ngen) for rel in presentation.relators]
+    found = [[] for _ in range(max_degree)]
     nodes = 0
-    stack = [([-1] * (k * ncols), 1, 0)]
+    stack = [([-1] * (max_degree * ncols), 1, 0)] if max_degree else []
     while stack:
         table, n, pos = stack.pop()
         while pos < n * ncols and table[pos] >= 0:
             pos += 1
         if pos == n * ncols:
-            if n == k:
-                found.append(table)
+            found[n - 1].append(tuple(
+                tuple(table[2 * g:pos:ncols]) for g in range(ngen)
+            ))
             continue
         c, x = divmod(pos, ncols)
-        for d in range(min(n + 1, k)):
+        for d in range(min(n + 1, max_degree)):
             if table[d * ncols + (x ^ 1)] >= 0:
                 continue
             if nodes >= max_nodes:
+                counts = [len(f) for f in found]
                 raise ResourceLimitError(
-                    f"low-index search at degree {k} reached max_nodes="
-                    f"{max_nodes} table entries; classes so far: {len(found)}"
+                    f"low-index search to degree {max_degree} reached "
+                    f"max_nodes={max_nodes} table entries; classes so far: "
+                    f"{sum(counts)} (by degree: {str(counts)[1:-1]})"
                 )
             nodes += 1
             child = table[:]
@@ -422,15 +435,21 @@ def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
             if (_deduce(child, m, ncols, relators)
                     and _least_in_class(child, m, ncols)):
                 stack.append((child, m, pos + 1))
-    classes = sorted(
-        _canonical_images(
-            tuple(tuple(t[2 * g::ncols]) for g in range(ngen)),
-            permutations(range(k)),
-        )
-        for t in found
-    )
+    return found
+
+
+def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
+    """All transitive degree-k permutation quotients, up to conjugacy.
+
+    The degree-k part of _low_index's search to degree k: coset tables on
+    the lex-least conjugate images, sorted by those images.
+    """
+    if k < 1:
+        raise ValueError("degree must be >= 1")
+    found = _low_index(presentation, k, max_nodes)[k - 1]
     names = tuple(presentation.generators)
-    return [CosetTable(names, k, imgs) for imgs in classes]
+    return [CosetTable(names, k, images)
+            for images in sorted(_least_conjugate(t, k) for t in found)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +515,6 @@ def default_witness(m, n, gcd_witness=False):
             f"gcd({m},{n}) = {c} equals m or n, so the witness pinches to "
             "the identity"
         )
-    if not gcd_witness:
-        c = 1
     return word(
         ((0, 1), (1, c), (0, -1), (1, c), (0, 1), (1, -c), (0, -1), (1, -c))
     )
@@ -511,28 +528,25 @@ def witness_report(m, n, max_degree, genset=None, witness=None,
     The witness must be nontrivial (checked via its canonical form before
     any scanning).  all_trivial records whether the witness image is the
     identity permutation under every hom of every degree 1..max_degree.
+    One low-index search to max_degree finds every degree's homs, and
+    hits max_nodes exactly when a search to some one degree would.
+    max_degree 0 is an empty scan.
     """
-    engine = BaumslagSolitarEngine(m, n)
-    presentation = bs_presentation(m, n)
-    if genset is None:
-        _, genset, _ = bs_s10_setup(m, n)
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    engine, s10, presentation = bs_s10_setup(m, n)
+    genset = s10 if genset is None else genset
     if witness is None:
         witness = default_witness(m, n, gcd_witness)
     nf = engine.britton(witness)
     if nf.is_identity():
         raise ValueError("witness is trivial; nothing to scan")
-    per_degree = []
-    total = 0
-    all_trivial = True
-    for degree in range(1, max_degree + 1):
-        homs = enumerate_homs(presentation, degree, max_nodes)
-        per_degree.append((degree, len(homs)))
-        total += len(homs)
-        identity = tuple(range(degree))
-        for h in homs:
-            if h.permutation(witness) != identity:
-                all_trivial = False
-    d = distance(engine, genset, witness, max_explored)
+    found = _low_index(presentation, max_degree, max_nodes)
+    all_trivial = all(
+        CosetTable(presentation.generators, k, images).permutation(witness)
+        == tuple(range(k))
+        for k, classes in enumerate(found, start=1) for images in classes
+    )
     return WitnessReport(
         m=m,
         n=n,
@@ -541,8 +555,8 @@ def witness_report(m, n, max_degree, genset=None, witness=None,
         britton_t0=nf.t0,
         britton_syllables=nf.syllables,
         max_degree=max_degree,
-        homs_found=total,
-        per_degree=tuple(per_degree),
+        homs_found=sum(map(len, found)),
+        per_degree=tuple(enumerate(map(len, found), start=1)),
         all_trivial=all_trivial,
-        distance=d,
+        distance=distance(engine, genset, witness, max_explored),
     )

@@ -257,10 +257,14 @@ def britton_step(key, w, m, n, a=0, b=1):
     return t0, tuple(stack)
 
 
-def britton_normal_form(w, m, n, a=0, b=1):
-    """Britton-reduce and canonicalize a word over {a, b} in BS(m, n)."""
+def _check_bs(m, n):
     if m < 1 or n < 1:
         raise ValueError(f"BS parameters must be positive, got ({m}, {n})")
+
+
+def britton_normal_form(w, m, n, a=0, b=1):
+    """Britton-reduce and canonicalize a word over {a, b} in BS(m, n)."""
+    _check_bs(m, n)
     return BrittonForm(m, n, *britton_step((0, ()), w, m, n, a, b))
 
 
@@ -343,8 +347,7 @@ class BaumslagSolitarEngine(GroupEngine):
     kind = "bs"
 
     def __init__(self, m, n, alphabet=("a", "b")):
-        if m < 1 or n < 1:
-            raise ValueError(f"BS parameters must be positive, got ({m}, {n})")
+        _check_bs(m, n)
         if len(alphabet) != 2:
             raise ValueError("BS engine is over a two-letter alphabet")
         self.m = m
@@ -531,7 +534,8 @@ S10_TEXTS = (
 
 
 def bs_presentation(m, n):
-    """< a, b | a b^m a^-1 b^-n > as a Presentation."""
+    """< a, b | a b^m a^-1 b^-n > as a Presentation, for m, n >= 1."""
+    _check_bs(m, n)
     gens = ("a", "b")
     rel = word(((0, 1), (1, m), (0, -1), (1, -n)))
     return Presentation(gens, (rel,))

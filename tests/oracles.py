@@ -250,16 +250,22 @@ def brute_hom_classes(n_gens, relators, k):
                         frontier.append(y)
         if len(orbit) == k:
             survivors.append(images)
-    reps = set()
-    for images in survivors:
-        best = None
-        for c in perms:
-            ci = inv[c]
-            conj = tuple(compose(compose(ci, p), c) for p in images)
-            if best is None or conj < best:
-                best = conj
-        reps.add(best)
-    return sorted(reps)
+    return sorted({brute_least_conjugate(images, k) for images in survivors})
+
+
+def brute_least_conjugate(images, k):
+    """The least of c^-1 p c over all k! relabellings c of a permutation
+    tuple, compared generator-major: the loop the package ran before its
+    depth-first relabelling."""
+    best = None
+    for c in itertools.permutations(range(k)):
+        ci = [0] * k
+        for x, y in enumerate(c):
+            ci[y] = x
+        conj = tuple(tuple(c[p[ci[x]]] for x in range(k)) for p in images)
+        if best is None or conj < best:
+            best = conj
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,15 @@ shell user would, including stderr messages and the LML_MAX_MEM budget.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import brute_hom_classes
+
+import lml
 
 from lml.balls import (
     NotReachableError,
@@ -435,6 +441,57 @@ def test_witness_gcd_flag(capsys):
     )
     assert code == 0
     assert doc["witness"] == "a b^2 a^-1 b^2 a b^-2 a^-1 b^-2"
+
+
+def test_witness_degree_zero_is_empty_and_negative_is_bad_input(capsys):
+    code, doc, _ = run_json(
+        capsys, "witness", "--m", "2", "--n", "3", "--max-degree", "0"
+    )
+    assert code == 0
+    assert doc["quotient_scan"] == {
+        "max_degree": 0, "homs_found": 0, "per_degree": [], "all_trivial": True,
+    }
+    code, out, err = run(
+        capsys, "witness", "--m", "2", "--n", "3", "--max-degree", "-1"
+    )
+    assert code == 3 and out == ""
+    assert "max_degree must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("m, n", (("-3", "10"), ("2", "0")))
+def test_quotients_refuse_bs_parameters_below_one(capsys, m, n):
+    code, out, err = run(
+        capsys, "quotients", "--m", m, "--n", n, "--degree", "2"
+    )
+    assert code == 3 and out == ""
+    assert "BS parameters must be positive" in err
+
+
+def test_node_cap_covers_the_one_search_to_the_top_degree(capsys):
+    # BS(9, 10) tries 14,548 table entries to degree 7.
+    argv = ("witness", "--m", "9", "--n", "10", "--max-degree", "7")
+    code, out, err = run(capsys, *argv, "--max-nodes", "14547")
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "error: low-index search to degree 7 reached max_nodes=14547 table "
+        "entries; classes so far: "
+    )
+    code, doc, _ = run_json(capsys, *argv, "--max-nodes", "14548")
+    assert code == 0
+    assert doc["quotient_scan"]["homs_found"] == 8
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["witness", "--m", "2", "--n", "3", "--max-degree", "3"]
+    src = str(Path(lml.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lml", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 # ---------------------------------------------------------------------------

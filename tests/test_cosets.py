@@ -2,14 +2,18 @@
 witness report."""
 
 import json
+import random
 
 import pytest
 from conftest import ROUND_TRIP_FIXTURES
-from oracles import brute_hom_classes
+from oracles import brute_hom_classes, brute_least_conjugate
 
 from lml.cosets import (
+    DEFAULT_MAX_NODES,
     CosetTable,
     IndexExceedsBound,
+    _least_conjugate,
+    _low_index,
     default_witness,
     enumerate_homs,
     schreier_from_table,
@@ -258,6 +262,59 @@ def test_enumerate_homs_argument_checks():
         enumerate_homs(Presentation(("x",), [word(((1, 1),))]), 2)
 
 
+# The coprime pairs of the witness-bs benchmark workload.
+WITNESS_PAIRS = ((2, 3), (3, 4), (3, 5), (4, 5), (9, 10))
+
+
+@pytest.mark.parametrize("m, n", WITNESS_PAIRS)
+def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
+    pres = bs_presentation(m, n)
+    rng = random.Random(100 * m + n)
+    found = _low_index(pres, 7, DEFAULT_MAX_NODES)
+    for k, classes in enumerate(found, start=1):
+        canonical = [h.forward for h in enumerate_homs(pres, k)]
+        assert sorted(_least_conjugate(t, k) for t in classes) == canonical
+        for images in canonical:
+            assert brute_least_conjugate(images, k) == images
+            # Any relabelling of a class comes back to the same images.
+            c = list(range(k))
+            rng.shuffle(c)
+            moved = tuple(tuple(c[p[c.index(x)]] for x in range(k))
+                          for p in images)
+            assert _least_conjugate(moved, k) == images
+
+
+# Table entries the search to degree k tries, found by bisecting max_nodes.
+# A search to a lower degree tries a subset of them, so they rise with k.
+NODES_BY_DEGREE = {
+    (2, 3): (2, 10, 39, 115, 244, 496),
+    (9, 10): (2, 10, 41, 155, 577, 2580),
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(NODES_BY_DEGREE))
+def test_cap_fails_exactly_below_the_node_count(m, n):
+    pres = bs_presentation(m, n)
+    # A witness scan to degree k passes exactly when every degree <= k
+    # would pass alone, that is from the degree-k count on.
+    for k, nodes in enumerate(NODES_BY_DEGREE[(m, n)], start=1):
+        assert len(enumerate_homs(pres, k, max_nodes=nodes)) >= 1
+        assert witness_report(m, n, k, max_nodes=nodes).all_trivial
+        with pytest.raises(ResourceLimitError):
+            enumerate_homs(pres, k, max_nodes=nodes - 1)
+        with pytest.raises(ResourceLimitError):
+            witness_report(m, n, k, max_nodes=nodes - 1)
+
+
+def test_cap_message_names_the_top_degree_and_counts_by_degree():
+    with pytest.raises(ResourceLimitError) as info:
+        witness_report(9, 10, 6, max_nodes=2579)
+    assert str(info.value) == (
+        "low-index search to degree 6 reached max_nodes=2579 table entries; "
+        "classes so far: 5 (by degree: 0, 1, 1, 1, 1, 1)"
+    )
+
+
 def test_hom_payloads():
     (h,) = enumerate_homs(Z_PRES, 3)
     assert h.forward == ((1, 2, 0),)
@@ -306,6 +363,16 @@ def test_witness_report_small_scan():
             if h.permutation(rep.witness) != tuple(range(degree)):
                 trivial = False
     assert rep.all_trivial == trivial is True
+
+
+@pytest.mark.parametrize("m, n", WITNESS_PAIRS)
+def test_witness_scan_counts_match_enumerate_homs(m, n):
+    rep = witness_report(m, n, 6)
+    pres = bs_presentation(m, n)
+    assert rep.per_degree == tuple(
+        (k, len(enumerate_homs(pres, k))) for k in range(1, 7)
+    )
+    assert rep.homs_found == sum(c for _, c in rep.per_degree)
 
 
 def test_witness_report_rejects_trivial_witness():

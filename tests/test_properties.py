@@ -1,7 +1,10 @@
-"""Property tests (hypothesis) of the incremental Britton step.
+"""Property tests (hypothesis) of the incremental Britton step, the
+canonical relabelling of quotient images, and coset enumeration.
 
 The pinch-rewriting oracle in tests/oracles.py shares no code with the
 package, so u*s*label^-1 being trivial under it checks each step exactly.
+The relabelling is checked against the k! loop it replaced, and
+todd_coxeter's index against sympy's coset enumeration.
 """
 
 import pytest
@@ -10,10 +13,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pinch_identity
+from oracles import brute_least_conjugate, pinch_identity
 
+from lml.cosets import _least_conjugate, todd_coxeter
 from lml.words import (
     BaumslagSolitarEngine,
+    Presentation,
     britton_normal_form,
     concat,
     invert,
@@ -49,3 +54,70 @@ def test_britton_normal_form_is_idempotent(params, w):
     m, n = params
     form = britton_normal_form(w, m, n)
     assert britton_normal_form(form.to_word(), m, n) == form
+
+
+@st.composite
+def permutation_tuples(draw):
+    """(k, images): up to three permutations of 0..k-1, some of them the
+    identity, and all of them kept within two blocks when the tuple is to
+    be intransitive, before one common relabelling."""
+    k = draw(st.integers(1, 7))
+    cut = draw(st.integers(1, k)) if draw(st.booleans()) else k
+    images = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            images.append(tuple(range(k)))
+        else:
+            images.append(tuple(draw(st.permutations(range(cut))))
+                          + tuple(draw(st.permutations(range(cut, k)))))
+    c = draw(st.permutations(range(k)))
+    return k, tuple(
+        tuple(c[p[c.index(x)]] for x in range(k)) for p in images
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_tuples())
+def test_least_conjugate_matches_the_relabelling_loop(case):
+    k, images = case
+    assert _least_conjugate(images, k) == brute_least_conjugate(images, k)
+
+
+# Finite groups <x, y | x^a, y^b, (xy)^c> with 1/a + 1/b + 1/c > 1: the
+# dihedral ones and the tetrahedral, octahedral and icosahedral groups.
+SPHERICAL = ((2, 2, 2), (2, 2, 3), (2, 2, 5), (2, 3, 3), (2, 3, 4), (2, 3, 5))
+
+small_words = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(-3, 3).filter(lambda e: e != 0)),
+    max_size=5,
+).map(word)
+
+
+def test_todd_coxeter_index_matches_sympy():
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    free, x, y = free_group("x, y")
+
+    def to_sympy(w):
+        out = free.identity
+        for g, e in w.letters:
+            out *= (x, y)[g] ** e
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SPHERICAL), st.lists(small_words, max_size=1),
+           st.lists(small_words, max_size=2))
+    def check(orders, extra, subgroup):
+        a, b, c = orders
+        relators = [word(((0, a),)), word(((1, b),)),
+                    word(((0, 1), (1, 1)) * c)] + extra
+        table = todd_coxeter(Presentation(("x", "y"), relators), subgroup)
+        group = fp_groups.FpGroup(free, [to_sympy(r) for r in relators])
+        cosets = fp_groups.coset_enumeration_r(
+            group, [to_sympy(w) for w in subgroup]
+        )
+        cosets.compress()
+        assert table.cosets == len(cosets.table)
+
+    check()

@@ -314,6 +314,9 @@ def test_bs_presentation_parameters():
     pres = bs_presentation(2, 3)
     assert pres.generators == AB
     assert pres.relators == (wd("a b^2 a^-1 b^-3"),)
+    for m, n in ((-3, 10), (0, 1), (2, 0)):
+        with pytest.raises(ValueError, match="BS parameters must be positive"):
+            bs_presentation(m, n)
 
 
 # ---------------------------------------------------------------------------
