@@ -183,9 +183,13 @@ class NotReachableError(ValueError):
 def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
     """Exact d(identity, g) in Cay(engine, genset) by meeting in the middle.
 
-    Both searches run on engine keys.  Raises ResourceLimitError past
-    max_explored visited elements, and NotReachableError if the (finite)
-    graph is exhausted without reaching g.
+    Both searches run on engine keys, one whole level at a time, and the
+    first element found by both sides ends the search.  That is exact:
+    with no meeting yet the visited sets are disjoint, so the distance is
+    at least d + depth[other] while level d of one side is expanded, and a
+    meeting there costs d + visited depth <= d + depth[other].  Raises
+    ResourceLimitError past max_explored visited elements, and
+    NotReachableError if the (finite) graph is exhausted without reaching g.
     """
     ke = engine.key(word())
     kg = engine.key(g)
@@ -194,12 +198,9 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
     visited = ({ke: 0}, {kg: 0})
     frontiers = ([ke], [kg])
     depth = [0, 0]
-    best = None
     while True:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         if not frontiers[side]:
-            if best is not None:
-                return best
             raise NotReachableError(
                 "element not reachable from the identity over S"
             )
@@ -218,13 +219,9 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
                 here[k] = d
                 nxt.append(k)
                 if k in there:
-                    total = d + there[k]
-                    if best is None or total < best:
-                        best = total
+                    return d + there[k]
         frontiers[side][:] = nxt
         depth[side] = d
-        if best is not None and depth[0] + depth[1] >= best:
-            return best
 
 
 def is_connected(graph):

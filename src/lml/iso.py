@@ -3,11 +3,10 @@
 Rooted isomorphisms preserve the root and therefore distance from it, so
 the search only ever matches vertices of equal refined color, where colors
 start at (distance, degree) and are refined by neighbor color multisets.
-Each ball is refined on its own, once, by prepare().  The isomorphism
-searches and canonical_key accept a ball or its PreparedBall, so a caller
-matching many balls against one target refines the target once.  The
-searches keep their frames on explicit stacks, so ball size is bounded by
-memory, not by the recursion limit.
+The searches and canonical_key take a ball or its PreparedBall.  A search
+refines its source in prepare's like mode, by lookups in the prepared
+target's code tables: that gives the source's own colors exactly, or
+rejects the pair before any search.  Frames sit on explicit stacks.
 
 A first-only automorphism search stops at identity completion: once the
 images of 0..j-1 are exactly {0..j-1} and each moved u < j (image not u)
@@ -20,6 +19,8 @@ so on up.  So an automorphism_scan probe costs about the vertices it moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 
 
 @dataclass(frozen=True)
@@ -31,80 +32,103 @@ class RootedIso:
     mapping: tuple
 
     def validate(self):
-        b1, b2 = self.source, self.target
+        b1, b2, m = self.source, self.target, self.mapping
         if b1.vertex_count != b2.vertex_count:
             raise ValueError("vertex counts differ")
-        if sorted(self.mapping) != list(range(b2.vertex_count)):
+        if sorted(m) != list(range(b2.vertex_count)):
             raise ValueError("mapping is not a bijection")
-        if b1.vertex_count and self.mapping[0] != 0:
+        if b1.vertex_count and m[0] != 0:
             raise ValueError("root not preserved")
-        for v in range(b1.vertex_count):
-            if b1.dist[v] != b2.dist[self.mapping[v]]:
+        for v, d in enumerate(b1.dist):
+            if d != b2.dist[m[v]]:
                 raise ValueError(f"distance not preserved at {v}")
-        image = {
-            tuple(sorted((self.mapping[u], self.mapping[v])))
-            for u, v in b1.edges
-        }
-        if image != set(b2.edges):
+        adj2 = b2.adjacency  # distinct edges have distinct images
+        if len(b1.edges) != len(b2.edges) or any(
+            m[v] not in adj2[m[u]] for u, v in b1.edges
+        ):
             raise ValueError("adjacency not exactly preserved")
         return self
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedBall:
-    """A ball with the per-ball data every search reads, computed once.
-
-    colors are the refined color codes, cells[c] lists the vertices of
-    color c in ascending order, masks[v] is the neighbor bitmask of v, and
-    earlier[v] lists the neighbors u < v.  profile holds the signature set
-    of every refinement round plus the cell sizes: it is equal for
-    isomorphic balls, so a mismatch rejects a pair without searching.
+    """A ball, its refined color codes, and its profile: the signature set
+    of each refinement round plus the cell sizes, equal for isomorphic
+    balls.  Made on first read: cells[c] lists the vertices of color c in
+    ascending order, masks[v] is the neighbor bitmask of v, earlier[v]
+    lists the neighbors u < v, tables[i] maps round-i signatures to codes.
     """
 
     ball: object
     colors: list
-    cells: list
-    masks: list
-    earlier: list
     profile: tuple
 
+    @cached_property
+    def cells(self):
+        cells = [[] for _ in self.profile[1]]
+        for v, c in enumerate(self.colors):
+            cells[c].append(v)
+        return cells
 
-def prepare(ball):
-    """Refine one ball and index it for the searches; idempotent.
+    @cached_property
+    def masks(self):
+        return [sum(1 << w for w in nbrs) for nbrs in self.ball.adjacency]
 
-    Color codes are ranked by sorted signature each round, so they are
-    invariant across relabelings and isomorphic balls get identical codes
-    without being refined together.  A round that splits no color ends the
-    refinement: ranking keeps the old color as the leading key, so the
-    codes would not change either.
+    @cached_property
+    def earlier(self):
+        earlier = [[] for _ in range(self.ball.vertex_count)]
+        for u, v in self.ball.edges:  # sorted, so each list ascends
+            earlier[v].append(u)
+        return earlier
+
+    @cached_property
+    def tables(self):
+        return [{s: c for c, s in enumerate(sigs)} for sigs in self.profile[0]]
+
+
+def prepare(ball, like=None):
+    """Refine one ball for the searches; a PreparedBall is returned as is.
+
+    Codes are ranked by sorted signature each round, so isomorphic balls
+    get identical codes without being refined together; a round that
+    splits no color (its codes are the old colors) ends the refinement.
+    With like, a PreparedBall, each of like's rounds, the last included,
+    looks the signatures up in like's table instead: None if one is
+    missing or the final cell sizes differ, else prepare(ball) exactly.
+    A code's signature leads with the previous code, so all rounds' colors
+    follow from the final ones: equal final cell sizes use every code of
+    every round of like, so the ball's own signature sets are like's.
     """
     if isinstance(ball, PreparedBall):
         return ball
     n = ball.vertex_count
     adj = ball.adjacency
     sigs = [(ball.dist[v], len(adj[v])) for v in range(n)]
-    rounds = []
-    while True:
-        rounds.append(tuple(sorted(set(sigs))))
-        if len(rounds) > 1 and len(rounds[-1]) == len(rounds[-2]):
+    rounds = like.profile[0] if like else []
+    for i in count():
+        if like:
+            code, last = like.tables[i], i + 1 == len(rounds)
+        else:
+            rounds.append(tuple(sorted(set(sigs))))
+            last = i > 0 and len(rounds[i]) == len(rounds[i - 1])
+            code = {s: c for c, s in enumerate(rounds[i])}
+        try:
+            colors = [code[s] for s in sigs]
+        except KeyError:  # like mode only: like's round lacks a signature
+            return None
+        if last:
             break
-        code = {s: i for i, s in enumerate(rounds[-1])}
-        colors = [code[s] for s in sigs]
         sigs = [
             (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
             for v in range(n)
         ]
-    cells = [[] for _ in rounds[-1]]
-    for v in range(n):
-        cells[colors[v]].append(v)
-    return PreparedBall(
-        ball=ball,
-        colors=colors,
-        cells=cells,
-        masks=[sum(1 << w for w in adj[v]) for v in range(n)],
-        earlier=[[u for u in adj[v] if u < v] for v in range(n)],
-        profile=(tuple(rounds), tuple(len(c) for c in cells)),
-    )
+    sizes = [0] * len(rounds[-1])
+    for c in colors:
+        sizes[c] += 1
+    profile = (tuple(rounds), tuple(sizes))
+    if like and profile != like.profile:
+        return None
+    return PreparedBall(ball, colors, profile)
 
 
 def _search(p1, p2, first_only, probe=None):
@@ -112,40 +136,28 @@ def _search(p1, p2, first_only, probe=None):
 
     Source vertices are matched in stored (BFS) order, so every vertex
     after the root already has a mapped neighbor constraining it.  A probe
-    (i, t) of an automorphism search starts at i, with 0..i-1 fixed and t
-    the one candidate for i.  The frames (candidates left, targets used,
-    required neighbor images, reach: one past the highest neighbor of a
-    moved vertex that misses its image) sit on an explicit stack, so depth
-    is not bounded by the recursion limit.
+    (i, t) of an automorphism search starts at i, 0..i-1 fixed and t, of
+    i's color, the one candidate for i.  A frame holds the candidates left,
+    targets used, required neighbor images, and reach: one past the highest
+    neighbor of a moved vertex that misses its image.
     """
     if p1 is not p2 and p1.profile != p2.profile:
         return []
     n = p1.ball.vertex_count
     if n == 0:
         return [()]
-    c1, c2, cells2 = p1.colors, p2.colors, p2.cells
-    adj1, adj2, earlier = p1.masks, p2.masks, p1.earlier
+    c1, cells2, adj2, earlier = p1.colors, p2.cells, p2.masks, p1.earlier
     base, only = probe or (0, None)
     complete = p1 is p2 and first_only
-    mapping = list(range(n))
-    found = []
-
-    def frame(v, used, reach, cands=None):
-        required = 0
-        for u in earlier[v]:
-            required |= 1 << mapping[u]
-        return iter(cands or cells2[c1[v]]), used, required, reach
-
-    stack = [frame(base, (1 << base) - 1, 0, probe and (only,))]
+    mapping, found = list(range(n)), []
+    required = sum(1 << u for u in earlier[base])
+    cands = (only,) if probe else cells2[c1[base]]
+    stack = [(iter(cands), (1 << base) - 1, required, 0)]
     while stack:
         v = base + len(stack) - 1
         cands, used, required, reach = stack[-1]
         for t in cands:
-            if (
-                not (used >> t) & 1
-                and c2[t] == c1[v]
-                and adj2[t] & used == required
-            ):
+            if not (used >> t) & 1 and adj2[t] & used == required:
                 break
         else:
             stack.pop()
@@ -154,20 +166,25 @@ def _search(p1, p2, first_only, probe=None):
         used |= 1 << t
         j = v + 1
         if complete and t != v:
-            reach = max(reach, (adj1[v] & ~adj2[t]).bit_length())
+            reach = max(reach, (adj2[v] & ~adj2[t]).bit_length())
         if j == n or (complete and used.bit_length() == j and reach <= j):
             found.append(tuple(mapping[:j]) + tuple(range(j, n)))
             if first_only:
                 break
         else:
-            stack.append(frame(j, used, reach))
+            required = 0
+            for u in earlier[j]:
+                required |= 1 << mapping[u]
+            stack.append((iter(cells2[c1[j]]), used, required, reach))
     return found
 
 
 def rooted_isomorphisms(b1, b2):
     """All rooted isomorphisms b1 -> b2, in deterministic (lex) order."""
-    p1, p2 = prepare(b1), prepare(b2)
-    out = [RootedIso(p1.ball, p2.ball, m) for m in _search(p1, p2, False)]
+    p2 = prepare(b2)
+    p1 = prepare(b1, like=p2)
+    found = _search(p1, p2, False) if p1 else []
+    out = [RootedIso(p1.ball, p2.ball, m) for m in found]
     if out:
         out[0].validate()
     return out
@@ -175,8 +192,9 @@ def rooted_isomorphisms(b1, b2):
 
 def first_rooted_isomorphism(b1, b2):
     """One witness isomorphism, or None; early-exits the search."""
-    p1, p2 = prepare(b1), prepare(b2)
-    res = _search(p1, p2, first_only=True)
+    p2 = prepare(b2)
+    p1 = prepare(b1, like=p2)
+    res = _search(p1, p2, first_only=True) if p1 else None
     return RootedIso(p1.ball, p2.ball, res[0]).validate() if res else None
 
 
@@ -187,14 +205,11 @@ def automorphism_scan(ball, inner_radius):
     witness is a RootedIso moving some vertex at distance <= inner_radius,
     or None if every automorphism fixes that inner ball pointwise.
 
-    Walks the stabilizer chain along the stored vertex order: the count
-    is the product of the orbit sizes.  The orbit of i is probed with one
+    Walks the stabilizer chain along the stored vertex order: the count is
+    the product of the orbit sizes.  The orbit of i is probed with one
     search per same-color t > i for the lex-first automorphism fixing
-    0..i-1 and sending i to t; it starts at i and ends at identity
-    completion (module docstring), so it never re-matches the fixed
-    prefix or the fixed rest of the ball.  Balls with huge
-    automorphism groups (many interchangeable leaves) stay cheap because
-    the count is never materialized as a list of maps.
+    0..i-1 and sending i to t, from i to identity completion (module
+    docstring).  The count is never materialized as a list of maps.
     """
     p = prepare(ball)
     ball = p.ball
@@ -205,8 +220,7 @@ def automorphism_scan(ball, inner_radius):
     if any(dist[v] > dist[v + 1] for v in range(n - 1)):
         # The chain argument below needs the inner ball to be a prefix.
         raise ValueError("vertex order must be nondecreasing in distance")
-    count = 1
-    witness = None
+    count, witness = 1, None
     for i in range(n):
         orbit = 1
         for t in p.cells[p.colors[i]]:

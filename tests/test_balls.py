@@ -394,6 +394,52 @@ def test_pgl_211_ball_is_the_bs_ball_without_a_group_table(bs_setup):
     assert (ball.dist, ball.edges) == (want.dist, want.edges)
 
 
+def one_sided_distance(engine, genset, g):
+    """d(identity, g) by breadth-first search from the identity alone."""
+    goal = engine.key(g)
+    seen = {engine.key(word())}
+    frontier, d = list(seen), 0
+    while goal not in seen:
+        nxt = []
+        for u in frontier:
+            for s in genset.words:
+                k = engine.step(u, s)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(k)
+        frontier, d = nxt, d + 1
+    return d
+
+
+def test_distance_matches_one_sided_search_on_random_words():
+    # Meeting in the middle returns at the first element both sides have
+    # found; a one-sided search from the identity gives the ground truth.
+    rng = random.Random(1313)
+    cycle = tuple(range(1, 9)) + (0,)
+    perm = FinitePermutationEngine(AB, ((1, 0) + tuple(range(2, 9)), cycle))
+    setups = [
+        (perm, validate_genset(perm, [wd(t) for t in ("a", "b", "b^-1")])),
+        (perm, validate_genset(
+            perm, [wd(t) for t in ("a", "b", "b^-1", "a b", "b^-1 a^-1")]
+        )),
+        bs_s10_setup()[:2],
+    ]
+    for m, n in ((2, 3), (3, 5), (1, 2)):
+        bs = BaumslagSolitarEngine(m, n)
+        gens = [wd(t) for t in ("a", "a^-1", "b", "b^-1")]
+        setups.append((bs, validate_genset(bs, gens)))
+    for engine, genset in setups:
+        for _ in range(40):
+            letters = [
+                (rng.randrange(2), rng.choice((1, -1)))
+                for _ in range(rng.randrange(7))
+            ]
+            g = word(tuple(letters))
+            assert distance(engine, genset, g) == one_sided_distance(
+                engine, genset, g
+            ), (letters, genset.words)
+
+
 def test_distance_unreachable_and_caps():
     # <a> = {e, a} is a finite component, so unreachability is provable.
     eng = FinitePermutationEngine(("a", "b"), ((1, 0, 2, 3), (1, 2, 3, 0)))

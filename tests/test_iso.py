@@ -4,12 +4,14 @@ cross-checked against brute-force enumeration on a seeded corpus."""
 import random
 
 import pytest
+from conftest import ROUND_TRIP_FIXTURES
 from oracles import (
     brute_rooted_isomorphisms,
     forced_prefix_automorphism_scan,
     layered_rooted_isomorphisms,
 )
 
+from lml import iso
 from lml.balls import FiniteGraph, RootedBall, cayley_ball, finite_ball
 from lml.fixtures import fixture_klein, torus_grid
 from lml.iso import (
@@ -102,6 +104,12 @@ def test_validate_rejects_defects():
     fork = RootedBall(4, 2, (0, 1, 1, 2), ((0, 1), (0, 2), (1, 3)))
     with pytest.raises(ValueError, match="adjacency"):
         RootedIso(fork, fork, (0, 2, 1, 3)).validate()
+    # Every source edge lands on a target edge, but the target has more.
+    closed = RootedBall(4, 2, (0, 1, 1, 2), fork.edges + ((1, 2),))
+    with pytest.raises(ValueError, match="adjacency"):
+        RootedIso(fork, closed, (0, 1, 2, 3)).validate()
+    with pytest.raises(ValueError, match="adjacency"):
+        RootedIso(closed, fork, (0, 1, 2, 3)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +355,96 @@ def test_prepared_balls_give_the_same_answers():
         if one:
             assert one.source is b1 and one.target is b2
         assert canonical_key(p1) == canonical_key(b1)
+
+
+def like_mode_corpus(bs_setup):
+    """Balls that share refinement rounds often: random balls and their
+    relabelings, Z^2 and BS s10 Cayley balls, and the rigid group balls."""
+    rng = random.Random(1331)
+    balls = []
+    for _ in range(30):
+        b = random_ball(rng, rng.randrange(2, 9), radius=rng.randrange(1, 4))
+        balls += [b, relabeled_copy(b, rng)]
+    balls += [z2_ball(r) for r in range(5)]
+    engine, genset, _ = bs_setup
+    balls += [cayley_ball(engine, genset, r) for r in range(4)]
+    for fixture in ROUND_TRIP_FIXTURES:
+        engine, genset = fixture.engine(), fixture.genset()
+        balls += [cayley_ball(engine, genset, r) for r in range(1, 4)]
+    # Two balls that only the last round, the one splitting no cell of
+    # the first, tells apart.
+    dist = (0, 1, 1, 2, 2, 2, 2, 3)
+    tree = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
+    balls.append(RootedBall(8, 3, dist, tree + ((3, 4), (6, 7))))
+    balls.append(RootedBall(8, 3, dist, tree + ((3, 5), (4, 7))))
+    # A root beside one or two triangles: no round tells them apart, only
+    # the cell sizes do.
+    triangle = ((1, 2), (1, 3), (2, 3))
+    twice = triangle + tuple((u + 3, v + 3) for u, v in triangle)
+    for n, edges in ((4, triangle), (7, twice)):
+        balls.append(RootedBall(n, 1, (0,) + (1,) * (n - 1), edges))
+    return balls
+
+
+def test_like_mode_equals_own_refinement(bs_setup):
+    balls = like_mode_corpus(bs_setup)
+    own = [prepare(b) for b in balls]
+    matched = 0
+    for b, mine in zip(balls, own):
+        for p in own:
+            got = prepare(b, like=p)
+            if mine.profile != p.profile:
+                assert got is None
+            else:
+                matched += 1
+                assert got.colors == mine.colors
+                assert got.profile == mine.profile and got.ball is b
+    assert matched > len(balls)
+    # The lookup tables are made for like only when a search reads them.
+    p = prepare(balls[0])
+    automorphism_scan(p, 1)
+    canonical_key(p)
+    assert "tables" not in vars(p)
+    first_rooted_isomorphism(balls[1], p)
+    assert "tables" in vars(p)
+
+
+def test_vertex_ball_search_reads_no_source_masks():
+    target = prepare(z2_ball(3))
+    source = prepare(finite_ball(torus_grid(9, 9), 40, 3), like=target)
+    assert source is not None
+    assert iso._search(source, target, True)
+    assert "masks" not in vars(source) and "masks" in vars(target)
+
+
+def test_near_miss_is_rejected_before_any_search(bs_setup, monkeypatch):
+    # Moving one sphere edge of the s10 3-ball keeps the first round's
+    # signature set; a later round tells the balls apart.
+    engine, genset, _ = bs_setup
+    ball = cayley_ball(engine, genset, 3)
+    target = prepare(ball)
+    adj, dist = ball.adjacency, ball.dist
+    sphere = [w for w in range(ball.vertex_count) if dist[w] == 3]
+    degrees = {len(adj[w]) for w in sphere}
+    u, v, w = next(
+        (u, v, w)
+        for u, v in ball.edges
+        if dist[u] == dist[v] == 3 and len(adj[v]) - 1 in degrees
+        for w in sphere
+        if w not in (u, v) and w not in adj[u] and len(adj[w]) + 1 in degrees
+    )
+    edges = set(ball.edges) - {(u, v)} | {(min(u, w), max(u, w))}
+    moved = RootedBall(ball.vertex_count, 3, dist, tuple(edges))
+    assert prepare(moved).profile[0][0] == target.profile[0][0]
+    assert prepare(moved).profile != target.profile
+    assert prepare(moved, like=target) is None
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a pair the refinement tells apart")
+
+    monkeypatch.setattr(iso, "_search", no_search)
+    assert first_rooted_isomorphism(moved, target) is None
+    assert rooted_isomorphisms(moved, target) == []
 
 
 def test_searches_do_not_recurse_on_large_balls():
