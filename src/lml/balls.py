@@ -110,10 +110,10 @@ def sphere_sizes(ball):
 def _grow(root, neighbours, radius, max_vertices):
     """Breadth-first ball of the given radius around root.
 
-    Returns (order, dist, edges): the vertices in discovery order (ties
+    Returns (order, dist, nbrs): the vertices in discovery order (ties
     broken by the order neighbours(x) lists them), their distances from
-    root, and the induced edges as (i, j) index pairs with i < j, each
-    taken once from its lower end, so neighbours must be symmetric.
+    root, and nbrs[i], the ball indices of i's neighbours in the ball, in
+    the order neighbours(x) lists them; neighbours must be symmetric.
     Vertices at the radius add no new vertices but still give edges.
     """
     if radius < 0:
@@ -121,9 +121,10 @@ def _grow(root, neighbours, radius, max_vertices):
     index = {root: 0}
     order = [root]
     dist = [0]
-    edges = []
+    nbrs = []
     for i, x in enumerate(order):
         d = dist[i]
+        nbrs.append(here := [])
         for y in neighbours(x):
             j = index.get(y)
             if j is None:
@@ -136,9 +137,12 @@ def _grow(root, neighbours, radius, max_vertices):
                 j = index[y] = len(order)
                 order.append(y)
                 dist.append(d + 1)
-            if i < j:
-                edges.append((i, j))
-    return order, dist, edges
+            here.append(j)
+    return order, dist, nbrs
+
+
+def _edges(nbrs):
+    return [(i, j) for i, ws in enumerate(nbrs) for j in ws if i < j]
 
 
 def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
@@ -152,13 +156,13 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     are made only if read.
     """
     step, letters = engine.step, genset.words
-    keys, dist, edges = _grow(
+    keys, dist, nbrs = _grow(
         engine.key(word()),
         lambda k: map(step, repeat(k), letters),
         radius,
         max_vertices,
     )
-    return RootedBall(len(keys), radius, dist, edges, tuple(keys), engine)
+    return RootedBall(len(keys), radius, dist, _edges(nbrs), tuple(keys), engine)
 
 
 def finite_ball(graph, v, radius):
@@ -170,10 +174,10 @@ def finite_ball_with_order(graph, v, radius):
     """finite_ball plus the BFS order: order[ball vertex] = graph vertex."""
     if not (0 <= v < graph.vertex_count):
         raise ValueError(f"vertex {v} out of range")
-    order, dist, edges = _grow(
+    order, dist, nbrs = _grow(
         v, graph.adjacency.__getitem__, radius, graph.vertex_count
     )
-    return RootedBall(len(order), radius, dist, edges), tuple(order)
+    return RootedBall(len(order), radius, dist, _edges(nbrs)), tuple(order)
 
 
 class NotReachableError(ValueError):
@@ -225,9 +229,9 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
 
 
 def is_connected(graph):
-    """Is the graph connected?  Caches no adjacency on the graph."""
+    """Is the graph connected?  Reads an adjacency made on it; caches none."""
     n = graph.vertex_count
-    adjacency = _adjacency(n, graph.edges)
+    adjacency = vars(graph).get("adjacency") or _adjacency(n, graph.edges)
     return n == 0 or len(_grow(0, adjacency.__getitem__, n, n)[0]) == n
 
 

@@ -6,7 +6,12 @@ start at (distance, degree) and are refined by neighbor color multisets.
 The searches and canonical_key take a ball or its PreparedBall.  A search
 refines its source in prepare's like mode, by lookups in the prepared
 target's code tables: that gives the source's own colors exactly, or
-rejects the pair before any search.  Frames sit on explicit stacks.
+rejects the pair before any search.  Like mode keys a neighbor multiset
+by the sum of base**code over it, base one more than the target's top
+degree: exact, as round 0 has found every degree in the target, so every
+multiplicity is below base.  The vertex walk of localmodel runs _refine,
+_search and _check_iso on each ball's plain distance and neighbor lists,
+with no ball object.  Frames sit on explicit stacks.
 
 A first-only automorphism search stops at identity completion: once the
 images of 0..j-1 are exactly {0..j-1} and each moved u < j (image not u)
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import count, repeat
 
 
 @dataclass(frozen=True)
@@ -32,22 +37,26 @@ class RootedIso:
     mapping: tuple
 
     def validate(self):
-        b1, b2, m = self.source, self.target, self.mapping
-        if b1.vertex_count != b2.vertex_count:
-            raise ValueError("vertex counts differ")
-        if sorted(m) != list(range(b2.vertex_count)):
-            raise ValueError("mapping is not a bijection")
-        if b1.vertex_count and m[0] != 0:
-            raise ValueError("root not preserved")
-        for v, d in enumerate(b1.dist):
-            if d != b2.dist[m[v]]:
-                raise ValueError(f"distance not preserved at {v}")
-        adj2 = b2.adjacency  # distinct edges have distinct images
-        if len(b1.edges) != len(b2.edges) or any(
-            m[v] not in adj2[m[u]] for u, v in b1.edges
-        ):
-            raise ValueError("adjacency not exactly preserved")
+        b1 = self.source
+        _check_iso(b1.dist, b1.adjacency, self.target, self.mapping)
         return self
+
+
+def _check_iso(dist, nbrs, target, m):
+    """Raise ValueError unless m is a rooted isomorphism (dist, nbrs) -> target."""
+    if len(dist) != target.vertex_count:
+        raise ValueError("vertex counts differ")
+    if sorted(m) != list(range(len(dist))):
+        raise ValueError("mapping is not a bijection")
+    if dist and m[0] != 0:
+        raise ValueError("root not preserved")
+    dist2, adj2 = target.dist, target.adjacency  # adj2 lists are sorted
+    for v, d in enumerate(dist):
+        if d != dist2[m[v]]:
+            raise ValueError(f"distance not preserved at {v}")
+    for u, ws in enumerate(nbrs):
+        if tuple(sorted(map(m.__getitem__, ws))) != adj2[m[u]]:
+            raise ValueError("adjacency not exactly preserved")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +64,8 @@ class PreparedBall:
     """A ball, its refined color codes, and its profile: the signature set
     of each refinement round plus the cell sizes, equal for isomorphic
     balls.  Made on first read: cells[c] lists the vertices of color c in
-    ascending order, masks[v] is the neighbor bitmask of v, earlier[v]
-    lists the neighbors u < v, tables[i] maps round-i signatures to codes.
+    ascending order, masks[v] is the neighbor bitmask of v, and tables[i]
+    pairs the codes of round i's like-mode keys with base**code per code.
     """
 
     ball: object
@@ -75,19 +84,47 @@ class PreparedBall:
         return [sum(1 << w for w in nbrs) for nbrs in self.ball.adjacency]
 
     @cached_property
-    def earlier(self):
-        earlier = [[] for _ in range(self.ball.vertex_count)]
-        for u, v in self.ball.edges:  # sorted, so each list ascends
-            earlier[v].append(u)
-        return earlier
-
-    @cached_property
     def tables(self):
-        return [{s: c for c, s in enumerate(sigs)} for sigs in self.profile[0]]
+        rounds = self.profile[0]
+        base = max((deg for _, deg in rounds[0]), default=0) + 1
+        powers = [[base**c for c in range(len(sigs))] for sigs in rounds]
+        keys = [rounds[0]] + [
+            [(s[0], sum(map(pw.__getitem__, s[1]))) for s in sigs]
+            for sigs, pw in zip(rounds[1:], powers)
+        ]
+        return [({k: c for c, k in enumerate(ks)}, pw) for ks, pw in zip(keys, powers)]
+
+
+def _refine(dist, nbrs, like=None):
+    """prepare's (colors, profile), or None, for a ball given as lists."""
+    sigs = list(zip(dist, map(len, nbrs)))
+    rounds = like.profile[0] if like else []
+    multiset = sum if like else lambda codes: tuple(sorted(codes))
+    for i in count():
+        if like:
+            (code, powers), last = like.tables[i], i + 1 == len(rounds)
+        else:
+            rounds.append(tuple(sorted(set(sigs))))
+            last = i > 0 and len(rounds[i]) == len(rounds[i - 1])
+            code = {s: c for c, s in enumerate(rounds[i])}
+        try:
+            colors = list(map(code.__getitem__, sigs))
+        except KeyError:  # like mode only: like's round lacks a signature
+            return None
+        if last:
+            break
+        keys = list(map(powers.__getitem__, colors)) if like else colors
+        sigs = list(zip(colors, map(multiset, map(map, repeat(keys.__getitem__), nbrs))))
+    sizes = [0] * len(rounds[-1])
+    for c in colors:
+        sizes[c] += 1
+    profile = (tuple(rounds), tuple(sizes))
+    return None if like and profile != like.profile else (colors, profile)
 
 
 def prepare(ball, like=None):
-    """Refine one ball for the searches; a PreparedBall is returned as is.
+    """Refine one ball for the searches; a PreparedBall is returned as is,
+    or None if like is given and its profile is not like's.
 
     Codes are ranked by sorted signature each round, so isomorphic balls
     get identical codes without being refined together; a round that
@@ -100,58 +137,29 @@ def prepare(ball, like=None):
     every round of like, so the ball's own signature sets are like's.
     """
     if isinstance(ball, PreparedBall):
-        return ball
-    n = ball.vertex_count
-    adj = ball.adjacency
-    sigs = [(ball.dist[v], len(adj[v])) for v in range(n)]
-    rounds = like.profile[0] if like else []
-    for i in count():
-        if like:
-            code, last = like.tables[i], i + 1 == len(rounds)
-        else:
-            rounds.append(tuple(sorted(set(sigs))))
-            last = i > 0 and len(rounds[i]) == len(rounds[i - 1])
-            code = {s: c for c, s in enumerate(rounds[i])}
-        try:
-            colors = [code[s] for s in sigs]
-        except KeyError:  # like mode only: like's round lacks a signature
-            return None
-        if last:
-            break
-        sigs = [
-            (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
-            for v in range(n)
-        ]
-    sizes = [0] * len(rounds[-1])
-    for c in colors:
-        sizes[c] += 1
-    profile = (tuple(rounds), tuple(sizes))
-    if like and profile != like.profile:
-        return None
-    return PreparedBall(ball, colors, profile)
+        return ball if like is None or ball.profile == like.profile else None
+    refined = _refine(ball.dist, ball.adjacency, like)
+    return refined and PreparedBall(ball, *refined)
 
 
-def _search(p1, p2, first_only, probe=None):
-    """Rooted isomorphisms between two prepared balls, in lex order.
+def _search(colors, nbrs, p2, first_only, probe=None):
+    """Rooted isomorphisms onto p2, in lex order, from source colors and nbrs.
 
     Source vertices are matched in stored (BFS) order, so every vertex
     after the root already has a mapped neighbor constraining it.  A probe
-    (i, t) of an automorphism search starts at i, 0..i-1 fixed and t, of
-    i's color, the one candidate for i.  A frame holds the candidates left,
-    targets used, required neighbor images, and reach: one past the highest
-    neighbor of a moved vertex that misses its image.
+    (i, t) of an automorphism search of p2 starts at i, 0..i-1 fixed and t,
+    of i's color, the one candidate for i.  A frame holds the candidates
+    left, targets used, required neighbor images, and reach: one past the
+    highest neighbor of a moved vertex that misses its image.
     """
-    if p1 is not p2 and p1.profile != p2.profile:
-        return []
-    n = p1.ball.vertex_count
+    n = len(colors)
     if n == 0:
         return [()]
-    c1, cells2, adj2, earlier = p1.colors, p2.cells, p2.masks, p1.earlier
+    cells2, adj2 = p2.cells, p2.masks
     base, only = probe or (0, None)
-    complete = p1 is p2 and first_only
     mapping, found = list(range(n)), []
-    required = sum(1 << u for u in earlier[base])
-    cands = (only,) if probe else cells2[c1[base]]
+    required = sum([1 << u for u in nbrs[base] if u < base])
+    cands = (only,) if probe else cells2[colors[base]]
     stack = [(iter(cands), (1 << base) - 1, required, 0)]
     while stack:
         v = base + len(stack) - 1
@@ -165,17 +173,18 @@ def _search(p1, p2, first_only, probe=None):
         mapping[v] = t
         used |= 1 << t
         j = v + 1
-        if complete and t != v:
+        if probe and t != v:
             reach = max(reach, (adj2[v] & ~adj2[t]).bit_length())
-        if j == n or (complete and used.bit_length() == j and reach <= j):
+        if j == n or (probe and used.bit_length() == j and reach <= j):
             found.append(tuple(mapping[:j]) + tuple(range(j, n)))
             if first_only:
                 break
         else:
             required = 0
-            for u in earlier[j]:
-                required |= 1 << mapping[u]
-            stack.append((iter(cells2[c1[j]]), used, required, reach))
+            for u in nbrs[j]:
+                if u < j:
+                    required |= 1 << mapping[u]
+            stack.append((iter(cells2[colors[j]]), used, required, reach))
     return found
 
 
@@ -183,7 +192,7 @@ def rooted_isomorphisms(b1, b2):
     """All rooted isomorphisms b1 -> b2, in deterministic (lex) order."""
     p2 = prepare(b2)
     p1 = prepare(b1, like=p2)
-    found = _search(p1, p2, False) if p1 else []
+    found = _search(p1.colors, p1.ball.adjacency, p2, False) if p1 else []
     out = [RootedIso(p1.ball, p2.ball, m) for m in found]
     if out:
         out[0].validate()
@@ -194,7 +203,7 @@ def first_rooted_isomorphism(b1, b2):
     """One witness isomorphism, or None; early-exits the search."""
     p2 = prepare(b2)
     p1 = prepare(b1, like=p2)
-    res = _search(p1, p2, first_only=True) if p1 else None
+    res = _search(p1.colors, p1.ball.adjacency, p2, True) if p1 else None
     return RootedIso(p1.ball, p2.ball, res[0]).validate() if res else None
 
 
@@ -228,7 +237,7 @@ def automorphism_scan(ball, inner_radius):
                 # t < i is already pointwise-fixed at this link, so it
                 # cannot also receive i; t == i is the identity branch.
                 continue
-            res = _search(p, p, True, probe=(i, t))
+            res = _search(p.colors, ball.adjacency, p, True, probe=(i, t))
             if res:
                 orbit += 1
                 if witness is None and dist[i] <= inner_radius:

@@ -14,14 +14,18 @@ from dataclasses import dataclass
 from .balls import (
     DEFAULT_MAX_VERTICES,
     FiniteGraph,
+    _grow,
     cayley_ball,
-    finite_ball_with_order,
+    finite_ball,
     is_connected,
 )
 from .iso import (
+    RootedIso,
+    _check_iso,
+    _refine,
+    _search,
     automorphism_scan,
     canonical_key,
-    first_rooted_isomorphism,
     prepare,
 )
 from .words import LmlError
@@ -79,23 +83,26 @@ class ModelVerdict:
 def vertex_witnesses(graph, target, radius):
     """Match each vertex ball against the prepared target, in vertex order.
 
-    Yields (vertex, order, witness): order[ball vertex] is the graph
-    vertex, and witness is the lex-first rooted isomorphism from the ball
+    Yields (vertex, order, mapping): order[ball vertex] is the graph
+    vertex, and mapping is the lex-first rooted isomorphism from the ball
     onto the target.  Raises NotAModelError at the first vertex whose ball
-    does not match.  The balls are cut from a private copy of the graph,
-    so the adjacency it caches does not stay on the caller's graph.
+    does not match.  A ball stays the lists of one breadth-first search
+    over graph.adjacency (cached on graph, so pass a private copy): it is
+    refined like the target, searched and checked with no ball object.
     """
-    graph = FiniteGraph(graph.vertex_count, graph.edges)
-    for v in range(graph.vertex_count):
-        ball, order = finite_ball_with_order(graph, v, radius)
-        witness = first_rooted_isomorphism(ball, target)
-        if witness is None:
+    adjacency, n = graph.adjacency.__getitem__, graph.vertex_count
+    for v in range(n):
+        order, dist, nbrs = _grow(v, adjacency, radius, n)
+        refined = _refine(dist, nbrs, like=target)
+        found = refined and _search(refined[0], nbrs, target, True)
+        if not found:
             raise NotAModelError((
                 v,
                 f"ball at vertex {v} is not rooted-isomorphic to the "
                 f"radius-{radius} ball at the identity",
             ))
-        yield v, order, witness
+        _check_iso(dist, nbrs, target.ball, found[0])
+        yield v, order, found[0]
 
 
 def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
@@ -106,14 +113,18 @@ def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICE
     identity ball is refined once and every vertex ball is searched
     against it in vertex order, stopping at the first that fails, so the
     only class ever reported is the target's: its canonical key, vertex 0
-    as representative, and the lex-first isomorphism as witness.
+    as representative, and the lex-first isomorphism as witness.  The walk
+    and the connectivity test share one private copy of the graph.
     """
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
+    graph = FiniteGraph(graph.vertex_count, graph.edges)
     classes = ()
     rejection = None
     try:
-        for v, _, witness in vertex_witnesses(graph, target, radius):
+        for v, _, mapping in vertex_witnesses(graph, target, radius):
             if v == 0:
+                ball = finite_ball(graph, 0, radius)
+                witness = RootedIso(ball, target.ball, mapping)
                 classes = (ModelClass(canonical_key(target), 0, witness),)
     except NotAModelError as err:
         rejection = err.rejection

@@ -16,13 +16,17 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, is_connected
+from .balls import (
+    DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, finite_ball, is_connected,
+)
 from .iso import automorphism_scan, prepare, rooted_isomorphisms
 from .localmodel import NotAModelError, vertex_witnesses
 from .words import LmlError, Word, _word_permutation, concat, invert, word
 
-# Labels are read off the isomorphisms within this distance of each vertex,
-# so two isomorphisms that differ there make the labeling ambiguous.
+# Two isomorphisms onto the identity ball that differ within this distance
+# make the labeling ambiguous.  Labels come off the 1-sphere; 2 also pins
+# each neighbour's edges and is the paper's inner fixing radius, so a ball
+# radius of at least r0 for r = 2 (3 for BS(9, 10), s10) is unambiguous.
 LABEL_RADIUS = 2
 
 
@@ -155,14 +159,15 @@ def label_edges(graph, engine, genset, radius,
     if graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
+    graph = FiniteGraph(graph.vertex_count, graph.edges)
     labels = {}
-    for v, order, witness in vertex_witnesses(graph, target, radius):
-        if v == 0:
-            ball0 = witness.source
-        for x in witness.source.adjacency[0]:
-            # The identity ball numbers S-letter i as vertex i + 1.
-            labels[(v, order[x])] = witness.mapping[x] - 1
+    for v, order, mapping in vertex_witnesses(graph, target, radius):
+        # The root's neighbours are ball vertices 1..deg(v), and the
+        # identity ball numbers S-letter i as vertex i + 1.
+        for x in range(1, graph.degree(v) + 1):
+            labels[(v, order[x])] = mapping[x] - 1
     if automorphism_scan(target, LABEL_RADIUS)[1] is not None:
+        ball0 = finite_ball(graph, 0, radius)
         ref, *rest = rooted_isomorphisms(ball0, target)
         for phi in rest:
             ambiguity = AmbiguousLabeling(0, ref, phi)

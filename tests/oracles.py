@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last six
+Everything here is deliberately naive and, apart from the last seven
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last six keep an earlier
+algorithms, different representations.  The last seven keep an earlier
 form of a package routine and call the package for everything else; the
-last of them holds the finite-ball and connectivity searches from before
-every ball was grown by one breadth-first search.  Speed only matters
+last two hold the finite-ball and connectivity searches from before
+every ball was grown by one breadth-first search, and the vertex walk
+from before it kept each vertex ball as plain lists.  Speed only matters
 enough for the test sizes.
 """
 
@@ -429,7 +430,8 @@ def _forced_prefix_search(p, forced):
     """The lex-first automorphism of prepared ball p whose first len(forced)
     vertices go to forced[v], or None; every vertex is matched in turn."""
     n = p.ball.vertex_count
-    colors, cells, masks, earlier = p.colors, p.cells, p.masks, p.earlier
+    colors, cells, masks = p.colors, p.cells, p.masks
+    earlier = [[u for u in nbrs if u < v] for v, nbrs in enumerate(p.ball.adjacency)]
     mapping = [-1] * n
 
     def frame(v, used):
@@ -566,3 +568,30 @@ def stack_is_connected(graph):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == graph.vertex_count
+
+
+# ---------------------------------------------------------------------------
+# the vertex walk with a ball object per vertex
+
+
+def per_vertex_witnesses(graph, target, radius):
+    """vertex_witnesses as the package ran it before each vertex ball
+    stayed plain lists: a RootedBall per vertex from
+    finite_ball_with_order, matched by first_rooted_isomorphism.
+
+    Returns the (vertex, order, mapping) triples up to the first ball
+    that does not match, and that vertex's rejection (vertex, reason),
+    or None when every ball matches.
+    """
+    found = []
+    for v in range(graph.vertex_count):
+        ball, order = finite_ball_with_order(graph, v, radius)
+        witness = first_rooted_isomorphism(ball, target)
+        if witness is None:
+            return found, (
+                v,
+                f"ball at vertex {v} is not rooted-isomorphic to the "
+                f"radius-{radius} ball at the identity",
+            )
+        found.append((v, order, witness.mapping))
+    return found, None

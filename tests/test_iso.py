@@ -413,7 +413,7 @@ def test_vertex_ball_search_reads_no_source_masks():
     target = prepare(z2_ball(3))
     source = prepare(finite_ball(torus_grid(9, 9), 40, 3), like=target)
     assert source is not None
-    assert iso._search(source, target, True)
+    assert iso._search(source.colors, source.ball.adjacency, target, True)
     assert "masks" not in vars(source) and "masks" in vars(target)
 
 

@@ -4,12 +4,18 @@ import json
 import random
 
 import pytest
-from oracles import classify_verify_model
+from conftest import ROUND_TRIP_FIXTURES
+from oracles import classify_verify_model, per_vertex_witnesses
 
-from lml.balls import FiniteGraph, cayley_ball
+from lml.balls import FiniteGraph, RootedBall, cayley_ball, finite_ball
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
-from lml.iso import RootedIso, canonical_key
-from lml.localmodel import fixing_radius, verify_model
+from lml.iso import PreparedBall, RootedIso, canonical_key, prepare
+from lml.localmodel import (
+    NotAModelError,
+    fixing_radius,
+    vertex_witnesses,
+    verify_model,
+)
 from lml.words import ResourceLimitError
 
 
@@ -183,6 +189,110 @@ def test_verify_model_respects_vertex_cap(bs_setup):
     engine, genset, _ = bs_setup
     with pytest.raises(ResourceLimitError):
         verify_model(cycle_graph(8), engine, genset, 2, max_vertices=5)
+
+
+# ---------------------------------------------------------------------------
+# the vertex walk against the walk with a ball object per vertex
+
+
+def assert_walk_matches_oracle(graph, target, radius):
+    """Same (vertex, order, mapping) triples and the same rejection as the
+    per-vertex oracle; and at every vertex, the integer-keyed refinement
+    against the target agrees with the ball's own tuple-keyed one."""
+    walked, rejection = [], None
+    private = FiniteGraph(graph.vertex_count, graph.edges)
+    try:
+        for v, order, mapping in vertex_witnesses(private, target, radius):
+            walked.append((v, tuple(order), mapping))
+    except NotAModelError as err:
+        rejection = err.rejection
+    assert (walked, rejection) == per_vertex_witnesses(graph, target, radius)
+    for v in range(graph.vertex_count):
+        ball = finite_ball(graph, v, radius)
+        own, like = prepare(ball), prepare(ball, like=target)
+        assert (like is None) == (own.profile != target.profile)
+        if like is not None:
+            assert like.colors == own.colors
+    return rejection is None
+
+
+def test_walk_matches_oracle_on_random_graphs():
+    rng = random.Random(31337)
+    seen = set()
+    for _ in range(40):
+        n = rng.randrange(4, 13)
+        p = rng.choice((0.2, 0.35, 0.5))
+        graph = FiniteGraph(n, tuple(
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ))
+        radius = rng.randrange(1, 4)
+        # The ball at vertex 0 matches itself, so both verdicts show up.
+        target = prepare(finite_ball(graph, rng.choice((0, n - 1)), radius))
+        seen.add(assert_walk_matches_oracle(graph, target, radius))
+    assert seen == {True, False}
+
+
+def test_walk_rejects_a_degree_the_target_lacks():
+    # In the ball at vertex 4, vertex 12 gives vertex 5 three neighbors,
+    # where the target path has degree at most two, so base is 3.  Three
+    # neighbors of one color c would sum to base**(c + 1), the key of one
+    # neighbor of color c + 1: the round-0 lookup must reject the degree.
+    target = prepare(finite_ball(cycle_graph(9), 0, 2))
+    graph = FiniteGraph(13, cycle_graph(12).edges + ((5, 12), (6, 12), (7, 12)))
+    assert not assert_walk_matches_oracle(graph, target, 2)
+    assert per_vertex_witnesses(graph, target, 2)[1][0] == 4
+    assert prepare(finite_ball(graph, 4, 2), like=target) is None
+
+
+def test_walk_matches_oracle_on_lattice_quotients(z2_setup):
+    engine, genset, _ = z2_setup
+    rng = random.Random(4242)
+    seen = set()
+    for radius in (1, 2, 3):
+        target = prepare(cayley_ball(engine, genset, radius))
+        for graph in (torus_grid(7, 6), torus_grid(8, 8), fixture_klein(8, 5),
+                      fixture_klein(6, 7)):
+            graph = relabeled(graph, rng)
+            seen.add(assert_walk_matches_oracle(graph, target, radius))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda fx: fx.name)
+def test_walk_matches_oracle_on_group_cayley_graphs(fx):
+    engine, genset = fx.engine(), fx.genset()
+    whole = cayley_ball(engine, genset, 10)
+    graph = relabeled(FiniteGraph(whole.vertex_count, whole.edges), random.Random(5))
+    target = prepare(cayley_ball(engine, genset, 2))
+    assert assert_walk_matches_oracle(graph, target, 2)
+
+
+def count_inits(monkeypatch, cls):
+    made = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(cls.__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_walk_builds_no_ball_object_per_vertex(z2_setup, monkeypatch):
+    engine, genset, _ = z2_setup
+    graph = torus_grid(9, 9)
+    made = [
+        count_inits(monkeypatch, cls) for cls in (RootedBall, PreparedBall, RootedIso)
+    ]
+    target = prepare(cayley_ball(engine, genset, 3))
+    private = FiniteGraph(graph.vertex_count, graph.edges)
+    assert len(list(vertex_witnesses(private, target, 3))) == 81
+    assert [len(m) for m in made] == [1, 1, 0]
+    # verify_model adds its own target, and vertex 0's ball and witness
+    # for the artifact; its private copy keeps the adjacency off graph.
+    assert verify_model(graph, engine, genset, 3).accepted
+    assert [len(m) for m in made] == [3, 2, 1]
+    assert "adjacency" not in vars(graph)
 
 
 # ---------------------------------------------------------------------------

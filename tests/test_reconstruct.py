@@ -477,7 +477,7 @@ def count_calls(monkeypatch, module, name):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -490,13 +490,16 @@ def test_reconstruct_builds_each_ball_once(monkeypatch):
     fx = ROUND_TRIP_FIXTURES[2]
     graph = full_cayley_graph(fx)[3]
     targets = count_calls(monkeypatch, balls, "cayley_ball")
-    vertex_balls = count_calls(monkeypatch, balls, "finite_ball_with_order")
+    searches = count_calls(monkeypatch, balls, "_grow")
+    ball_objects = count_calls(monkeypatch, balls, "finite_ball_with_order")
     keys = count_calls(monkeypatch, iso, "canonical_key")
     verdicts = count_calls(monkeypatch, localmodel, "verify_model")
-    res = reconstruct(
-        graph, fx.engine(), fx.genset(), fx.presentation(), fx.rigid_radius
-    )
+    r, n = fx.rigid_radius, graph.vertex_count
+    res = reconstruct(graph, fx.engine(), fx.genset(), fx.presentation(), r)
     assert res.succeeded
     assert len(targets) == 1
-    assert len(vertex_balls) == graph.vertex_count
-    assert keys == [] and verdicts == []
+    # One ball cut per vertex plus the target's, and the connectivity
+    # search over the whole graph; a rigid target needs no ball object.
+    radii = sorted(args[2] for args in searches)
+    assert r < n and radii == [r] * (n + 1) + [n]
+    assert ball_objects == [] and keys == [] and verdicts == []
