@@ -1,10 +1,12 @@
 """Golden digests: the JSON artifacts stay byte-identical across versions.
 
 Each builder produces the exact bytes the CLI writes for one run (stdout
-of `lml verify` / `lml r0`, or the `reconstruct` document serialized the
-way the CLI serializes it), and the test pins its sha256 together with the
-exit code.  A change that alters a witness mapping, a rejection vertex or
-reason, an automorphism count or a recovered presentation fails here.
+of `lml verify` / `lml r0` / `lml cosets` / `lml quotients` /
+`lml witness`, or the `reconstruct` document serialized the way the CLI
+serializes it), and the test pins its sha256 together with the exit code.
+A change that alters a witness mapping, a rejection vertex or reason, an
+automorphism count, a recovered presentation, a coset numbering or a
+quotient class fails here.
 """
 
 import hashlib
@@ -69,6 +71,24 @@ GOLDEN = {
     "reconstruct:F42-r2": (
         0, "596c519829dc81900bca838479373f972a1ddc59c111397a3918aa33795eba3c"
     ),
+    "cosets:S4-schreier": (
+        0, "f62ab569ec5704c2aac4d42c1d0e1f7cdb95c1041806e640395ab6ca923ce960"
+    ),
+    "cosets:F21-schreier": (
+        0, "de7258d477ffd8ccfa038e1af351232b54a01944f29d05f36c3b5417b9688154"
+    ),
+    "cosets:F42-schreier": (
+        0, "fe09e7b9cf02b51bc70db8e398396bd9ccdef4e51b6638d7c20ea390201678e6"
+    ),
+    "cosets:F42-subgroup-b2": (
+        0, "6a137f54e00ad94e08ebabbe9aac3488c358e847f025f22f9a934a5d1423f987"
+    ),
+    "quotients:bs-3-5-degree6": (
+        0, "e95382322454f1dd011454b8daebabdd02eec8dd293f4bc9b629ce07a1773b36"
+    ),
+    "witness:bs-3-5-max-degree6": (
+        0, "3f8b92d0fdb9e35a5c8b96edbe0728da096bf397a5bbb145c261b5a384619e79"
+    ),
 }
 
 
@@ -77,8 +97,35 @@ def cli_bytes(capsys, *argv):
     return code, capsys.readouterr().out.encode()
 
 
+def presentation_file(tmp_path, fixture):
+    """The fixture's presentation and S in the `gens` / `rel` / `S` format."""
+    lines = ["gens a b"] + [f"rel {t}" for t in fixture.relator_texts]
+    lines.append("S " + " | ".join(fixture.s_texts))
+    path = tmp_path / f"{fixture.name}.pres"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def artifact(name, capsys, tmp_path):
     kind, case = name.split(":")
+    if kind == "cosets":
+        # Coincidences: 3, 5 and 51 in the whole-group enumerations of S4,
+        # F21 and F42, and 27 in F42's enumeration of <b^2> (index 14).
+        group, mode = case.split("-", 1)
+        fixture = next(f for f in ROUND_TRIP_FIXTURES if f.name == group)
+        flags = ["--schreier"] if mode == "schreier" else ["--subgroup", "b^2"]
+        return cli_bytes(
+            capsys, "cosets", "--presentation",
+            presentation_file(tmp_path, fixture), *flags,
+        )
+    if kind == "quotients":
+        return cli_bytes(
+            capsys, "quotients", "--m", "3", "--n", "5", "--degree", "6"
+        )
+    if kind == "witness":
+        return cli_bytes(
+            capsys, "witness", "--m", "3", "--n", "5", "--max-degree", "6"
+        )
     if kind == "verify":
         graph, radius = VERIFY_CASES[case]
         path = tmp_path / f"{case}.graph"
