@@ -20,7 +20,6 @@ from .balls import (
     finite_ball_with_order,
     is_connected,
     parse_graph,
-    parse_rooted_ball,
     render_graph,
     render_rooted_ball,
     sphere_sizes,

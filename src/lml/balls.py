@@ -237,7 +237,7 @@ def is_connected(graph):
 
 # ---------------------------------------------------------------------------
 # text format: `n m` header, one `u v` line per edge (0 <= u < v < n);
-# rooted balls add a `root` line and a `dist` line
+# rooted balls are written with `root`, `radius` and `dist` lines too
 
 
 def render_graph(graph):
@@ -251,18 +251,14 @@ def render_rooted_ball(ball):
     return render_graph(ball) + f"root {ball.root}\nradius {ball.radius}\ndist {dist}\n"
 
 
-def _graph_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
-def _header_and_edges(lines, empty_message):
-    """(n, edges) from an `n m` header line and m `u v` edge lines."""
+def parse_graph(text):
+    """A FiniteGraph from an `n m` header line and m `u v` edge lines."""
     header = None
     edges = []
-    for lineno, parts in lines:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             expected = "`n m` header" if header is None else "`u v` edge line"
             raise ParseError(f"expected {expected}", line=lineno)
@@ -271,50 +267,11 @@ def _header_and_edges(lines, empty_message):
         else:
             edges.append((int(parts[0]), int(parts[1])))
     if header is None:
-        raise ParseError(empty_message)
+        raise ParseError("empty graph file")
     n, m = header
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file has {len(edges)}")
-    return n, tuple(edges)
-
-
-def parse_graph(text):
-    n, edges = _header_and_edges(_graph_lines(text), "empty graph file")
     try:
         return FiniteGraph(n, edges)
-    except ValueError as err:
-        raise ParseError(str(err))
-
-
-def parse_rooted_ball(text):
-    """A graph file plus `root 0`, `radius r` and `dist d0 d1 ...` lines."""
-    found = {}
-
-    def edge_lines():
-        for lineno, parts in _graph_lines(text):
-            key, values = parts[0], parts[1:]
-            if key not in ("root", "radius", "dist"):
-                yield lineno, parts
-            elif not all(p.isdigit() for p in values) or (
-                key != "dist" and len(values) != 1
-            ):
-                raise ParseError(
-                    f"expected `{key}` and non-negative integers", line=lineno
-                )
-            elif key == "root" and int(values[0]) != 0:
-                raise ParseError("root must be vertex 0", line=lineno)
-            else:
-                found[key] = (lineno, tuple(int(p) for p in values))
-
-    n, edges = _header_and_edges(edge_lines(), "empty ball file")
-    if "dist" not in found:
-        raise ParseError("missing dist line")
-    dist_line, dist = found["dist"]
-    deepest = max(dist, default=0)
-    radius = found["radius"][1][0] if "radius" in found else deepest
-    if deepest > radius:
-        raise ParseError(f"dist exceeds radius {radius}", line=dist_line)
-    try:
-        return RootedBall(n, radius, dist, edges)
     except ValueError as err:
         raise ParseError(str(err))

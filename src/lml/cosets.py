@@ -2,10 +2,13 @@
 
 todd_coxeter enumerates the cosets of a finitely generated subgroup of a
 finitely presented group (HLT strategy: relator scans with gap filling,
-coincidences resolved by union on least representatives), producing the
-permutation action on the coset space.  schreier_from_table turns a
-complete table into sigma maps plus a simple graph, counting the loops
-and parallel edges it had to drop.  enumerate_homs (Sims' low-index
+coincidences merged into least representatives), producing the
+permutation action on the coset space.  It and the low-index search keep
+one table format, a flat list with row u at u * ncols and -1 undefined,
+and trace relators with one _scan; on a clash Todd-Coxeter merges the two
+cosets and the low-index search rejects the branch.  schreier_from_table
+turns a complete table into sigma maps plus a simple graph, counting the
+loops and parallel edges it had to drop.  enumerate_homs (Sims' low-index
 search) lists the transitive degree-k permutation quotients as coset
 tables, one per conjugacy class of index-k subgroups.  witness_report
 bundles evidence that the witness element of BS(m, n) is nontrivial yet
@@ -103,20 +106,43 @@ def _columns(w, ngen):
     return out
 
 
+def _scan(table, ncols, start, cols):
+    """Trace the word cols from start through a flat coset table: row u
+    at u * ncols, -1 undefined.  Forward while defined, then backward.
+
+    Returns (f, i, b, j): start * cols[:i] = f, b * cols[j+1:] = start.
+    j < i: the word closed, a clash if f != b.  j == i: one gap, so
+    f * cols[i] = b, with both slots free.  j > i: more gaps.
+    """
+    f, i, j = start, 0, len(cols) - 1
+    while i <= j and (x := table[f * ncols + cols[i]]) >= 0:
+        f = x
+        i += 1
+    b = start
+    while j >= i and (x := table[b * ncols + (cols[j] ^ 1)]) >= 0:
+        b = x
+        j -= 1
+    return f, i, b, j
+
+
 def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate cosets of <subgroup_gens> in the presented group.
 
     HLT: subgroup generators are scanned from coset 0, then every relator
     is scanned from every live coset in numeric order, with remaining
-    undefined entries filled by fresh definitions.  Deterministic; raises
-    IndexExceedsBound once max_cosets cosets have been defined (dead ones
-    included, so the cap is an allocation cap).
+    undefined entries filled by fresh definitions.  On _scan's table, a
+    clash is a coincidence: the larger coset dies into the smaller, its
+    row's entries move to the survivor and the back pointers into it are
+    undefined (Handbook of Computational Group Theory, 5.1.3), so live
+    rows point only at live rows.  Deterministic; raises IndexExceedsBound
+    once max_cosets cosets have been defined (dead ones included, so the
+    cap is an allocation cap).
     """
     ngen = len(presentation.generators)
     ncols = 2 * ngen
     relators = [_columns(rel, ngen) for rel in presentation.relators]
 
-    table = [[None] * ncols]
+    table = [-1] * ncols
     parent = [0]
 
     def find(x):
@@ -125,94 +151,71 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
             x = parent[x]
         return x
 
-    def entry(u, c):
-        v = table[u][c]
-        return None if v is None else find(v)
-
     def define(u, c):
-        if len(table) >= max_cosets:
+        if len(parent) >= max_cosets:
             raise IndexExceedsBound(max_cosets)
-        v = len(table)
-        table.append([None] * ncols)
+        v = len(parent)
+        table.extend([-1] * ncols)
         parent.append(v)
-        table[u][c] = v
-        table[v][c ^ 1] = u
-        return v
+        table[u * ncols + c] = v
+        table[v * ncols + (c ^ 1)] = u
 
     def coincide(a, b):
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            x, y = find(x), find(y)
+        pairs = [(a, b)]
+        while pairs:
+            x, y = sorted(map(find, pairs.pop()))
             if x == y:
                 continue
-            if x > y:
-                x, y = y, x
             parent[y] = x
             for c in range(ncols):
-                d = table[y][c]
-                if d is None:
+                d = table[y * ncols + c]
+                if d < 0:
                     continue
+                table[d * ncols + (c ^ 1)] = -1
                 d = find(d)
-                e = table[x][c]
-                if e is None:
-                    table[x][c] = d
-                    rev = table[d][c ^ 1]
-                    if rev is None:
-                        table[d][c ^ 1] = x
-                    elif find(rev) != x:
-                        queue.append((find(rev), x))
+                if (e := table[x * ncols + c]) >= 0:
+                    pairs.append((d, e))
+                elif (e := table[d * ncols + (c ^ 1)]) >= 0:
+                    pairs.append((x, e))
                 else:
-                    queue.append((find(e), d))
+                    table[x * ncols + c] = d
+                    table[d * ncols + (c ^ 1)] = x
 
     def scan_and_fill(start, cols):
         while True:
-            start = find(start)
-            f, i = start, 0
-            b, j = start, len(cols) - 1
-            while i <= j and entry(f, cols[i]) is not None:
-                f = entry(f, cols[i])
-                i += 1
-            if i > j:
-                if f != b:
-                    coincide(f, b)
-                return
-            while j >= i and entry(b, cols[j] ^ 1) is not None:
-                b = entry(b, cols[j] ^ 1)
-                j -= 1
+            f, i, b, j = _scan(table, ncols, start, cols)
             if j < i:
                 if f != b:
                     coincide(f, b)
                 return
             if j == i:
-                # both sides stopped at the same undefined slot: deduction
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
+                table[f * ncols + cols[i]] = b
+                table[b * ncols + (cols[i] ^ 1)] = f
                 return
             define(f, cols[i])
 
     for w in subgroup_gens:
         scan_and_fill(0, _columns(w, ngen))
-    i = 0
-    while i < len(table):
-        if find(i) == i:
-            for cols in relators:
-                if find(i) != i:
-                    break
-                scan_and_fill(i, cols)
-            if find(i) == i:
-                for c in range(ncols):
-                    if entry(i, c) is None:
-                        define(i, c)
-        i += 1
+    u = 0
+    while u < len(parent):
+        for cols in relators:
+            if parent[u] != u:
+                break
+            scan_and_fill(u, cols)
+        if parent[u] == u:
+            for c in range(ncols):
+                if table[u * ncols + c] < 0:
+                    define(u, c)
+        u += 1
 
-    live = [u for u in range(len(table)) if find(u) == u]
+    live = [u for u in range(len(parent)) if parent[u] == u]
     renumber = {old: new for new, old in enumerate(live)}
     forward = tuple(
-        tuple(renumber[entry(u, 2 * g)] for u in live) for g in range(ngen)
+        tuple(renumber[table[u * ncols + 2 * g]] for u in live)
+        for g in range(ngen)
     )
     for g, col in enumerate(forward):
-        back = tuple(renumber[entry(u, 2 * g + 1)] for u in live)
+        back = tuple(renumber[table[u * ncols + 2 * g + 1]] for u in live)
         assert back == _perm_inverse(col), "inverse column mismatch"
     return CosetTable(tuple(presentation.generators), len(live), forward)
 
@@ -338,31 +341,20 @@ def _least_conjugate(images, k):
 def _deduce(table, n, ncols, relators):
     """Scan every relator from every coset until no gap is left to fill.
 
-    False on a clash: a relator traced round to another coset, or a single
-    gap whose far slot is taken.  Other single gaps are filled in place."""
+    False on a clash: a relator traced round to another coset.  Single
+    gaps are filled in place."""
     changed = True
     while changed:
         changed = False
         for start in range(n):
             for cols in relators:
-                f, i, j = start, 0, len(cols) - 1
-                while i <= j and table[f * ncols + cols[i]] >= 0:
-                    f = table[f * ncols + cols[i]]
-                    i += 1
-                if i > j:
-                    if f != start:
+                f, i, b, j = _scan(table, ncols, start, cols)
+                if j < i:
+                    if f != b:
                         return False
-                    continue
-                b = start
-                while j > i and table[b * ncols + (cols[j] ^ 1)] >= 0:
-                    b = table[b * ncols + (cols[j] ^ 1)]
-                    j -= 1
-                if j == i:
-                    c = cols[i]
-                    if table[b * ncols + (c ^ 1)] >= 0:
-                        return False
-                    table[f * ncols + c] = b
-                    table[b * ncols + (c ^ 1)] = f
+                elif j == i:
+                    table[f * ncols + cols[i]] = b
+                    table[b * ncols + (cols[i] ^ 1)] = f
                     changed = True
     return True
 
@@ -393,13 +385,13 @@ def _low_index(presentation, max_degree, max_nodes):
     """Per degree 1..max_degree, the generator images of one transitive
     quotient per conjugacy class, in one search.
 
-    Sims' low-index search over partial coset tables (column 2g for
-    generator g, 2g+1 for its inverse), with an explicit stack.  Each node
-    fills the first undefined entry with an existing coset or the next new
-    one, then runs _deduce and _least_in_class.  A table complete on n
-    cosets is a leaf and a degree-n class.  The search to a lower degree
-    tries a subset of these nodes, so max_nodes (table entries tried) is
-    hit here exactly when some such search would hit it.
+    Sims' low-index search over partial coset tables in _scan's format,
+    with an explicit stack.  Each node fills the first undefined entry
+    with an existing coset or the next new one, then runs _deduce and
+    _least_in_class.  A table complete on n cosets is a leaf and a
+    degree-n class.  The search to a lower degree tries a subset of these
+    nodes, so max_nodes (table entries tried) is hit here exactly when
+    some such search would hit it.
     """
     ngen = len(presentation.generators)
     ncols = 2 * ngen

@@ -152,14 +152,14 @@ def label_edges(graph, engine, genset, radius,
     identity ball, so one automorphism scan decides for every vertex
     whether they agree within LABEL_RADIUS; if not, vertex 0 is reported
     as AmbiguousLabeling.  The reverse edge must carry the paired inverse
-    letter (LabelInconsistency otherwise).
+    letter (LabelInconsistency otherwise).  The walk caches an adjacency
+    on graph; reconstruct hands it a private copy.
     """
     if radius < 1:
         raise ValueError("edge labeling needs radius >= 1")
     if graph.vertex_count == 0:
         raise ValueError("graph has no vertices")
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
-    graph = FiniteGraph(graph.vertex_count, graph.edges)
     labels = {}
     for v, order, mapping in vertex_witnesses(graph, target, radius):
         # The root's neighbours are ball vertices 1..deg(v), and the
@@ -397,10 +397,12 @@ def reconstruct(graph, engine, genset, presentation, radius,
     ambiguous_labeling, label_inconsistency, relator_violation.  On
     success the action's underlying simple graph equals the input
     edge-for-edge and the stabilizer has index |V| (the action is
-    transitive because the graph is connected).
+    transitive because the graph is connected).  Labeling and the
+    connectivity test share one private copy of the graph.
     """
     if radius < 1:
         raise ValueError("reconstruction needs radius >= 1")
+    graph = FiniteGraph(graph.vertex_count, graph.edges)
     try:
         labeled = label_edges(graph, engine, genset, radius, max_vertices)
     except NotAModelError as err:

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last seven
+Everything here is deliberately naive and, apart from the last eight
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last seven keep an earlier
+algorithms, different representations.  The last eight keep an earlier
 form of a package routine and call the package for everything else; the
-last two hold the finite-ball and connectivity searches from before
-every ball was grown by one breadth-first search, and the vertex walk
-from before it kept each vertex ball as plain lists.  Speed only matters
+last three hold the finite-ball and connectivity searches from before
+every ball was grown by one breadth-first search, the vertex walk from
+before it kept each vertex ball as plain lists, and Todd-Coxeter from
+before it shared the low-index search's table and relator scan.  Speed only matters
 enough for the test sizes.
 """
 
@@ -18,6 +19,12 @@ from lml.balls import (
     finite_ball,
     finite_ball_with_order,
     is_connected,
+)
+from lml.cosets import (
+    DEFAULT_MAX_COSETS,
+    CosetTable,
+    IndexExceedsBound,
+    _columns,
 )
 from lml.iso import (
     RootedIso,
@@ -38,7 +45,7 @@ from lml.reconstruct import (
     present_on_S,
     stabilizer,
 )
-from lml.words import word
+from lml.words import _perm_inverse, word
 
 
 # ---------------------------------------------------------------------------
@@ -595,3 +602,126 @@ def per_vertex_witnesses(graph, target, radius):
             )
         found.append((v, order, witness.mapping))
     return found, None
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration on a list-of-lists table with find on every read
+
+
+def find_on_read_todd_coxeter(presentation, subgroup_gens,
+                              max_cosets=DEFAULT_MAX_COSETS):
+    """todd_coxeter as the package ran it before one flat table and one
+    relator scan served it and the low-index search: a list-of-lists
+    table read through find, and coincidences that left old pointers to
+    resolve on read.  Enumerate cosets of <subgroup_gens> in the
+    presented group.
+
+    HLT: subgroup generators are scanned from coset 0, then every relator
+    is scanned from every live coset in numeric order, with remaining
+    undefined entries filled by fresh definitions.  Deterministic; raises
+    IndexExceedsBound once max_cosets cosets have been defined (dead ones
+    included, so the cap is an allocation cap).
+    """
+    ngen = len(presentation.generators)
+    ncols = 2 * ngen
+    relators = [_columns(rel, ngen) for rel in presentation.relators]
+
+    table = [[None] * ncols]
+    parent = [0]
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def entry(u, c):
+        v = table[u][c]
+        return None if v is None else find(v)
+
+    def define(u, c):
+        if len(table) >= max_cosets:
+            raise IndexExceedsBound(max_cosets)
+        v = len(table)
+        table.append([None] * ncols)
+        parent.append(v)
+        table[u][c] = v
+        table[v][c ^ 1] = u
+        return v
+
+    def coincide(a, b):
+        queue = [(a, b)]
+        while queue:
+            x, y = queue.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            for c in range(ncols):
+                d = table[y][c]
+                if d is None:
+                    continue
+                d = find(d)
+                e = table[x][c]
+                if e is None:
+                    table[x][c] = d
+                    rev = table[d][c ^ 1]
+                    if rev is None:
+                        table[d][c ^ 1] = x
+                    elif find(rev) != x:
+                        queue.append((find(rev), x))
+                else:
+                    queue.append((find(e), d))
+
+    def scan_and_fill(start, cols):
+        while True:
+            start = find(start)
+            f, i = start, 0
+            b, j = start, len(cols) - 1
+            while i <= j and entry(f, cols[i]) is not None:
+                f = entry(f, cols[i])
+                i += 1
+            if i > j:
+                if f != b:
+                    coincide(f, b)
+                return
+            while j >= i and entry(b, cols[j] ^ 1) is not None:
+                b = entry(b, cols[j] ^ 1)
+                j -= 1
+            if j < i:
+                if f != b:
+                    coincide(f, b)
+                return
+            if j == i:
+                # both sides stopped at the same undefined slot: deduction
+                table[f][cols[i]] = b
+                table[b][cols[i] ^ 1] = f
+                return
+            define(f, cols[i])
+
+    for w in subgroup_gens:
+        scan_and_fill(0, _columns(w, ngen))
+    i = 0
+    while i < len(table):
+        if find(i) == i:
+            for cols in relators:
+                if find(i) != i:
+                    break
+                scan_and_fill(i, cols)
+            if find(i) == i:
+                for c in range(ncols):
+                    if entry(i, c) is None:
+                        define(i, c)
+        i += 1
+
+    live = [u for u in range(len(table)) if find(u) == u]
+    renumber = {old: new for new, old in enumerate(live)}
+    forward = tuple(
+        tuple(renumber[entry(u, 2 * g)] for u in live) for g in range(ngen)
+    )
+    for g, col in enumerate(forward):
+        back = tuple(renumber[entry(u, 2 * g + 1)] for u in live)
+        assert back == _perm_inverse(col), "inverse column mismatch"
+    return CosetTable(tuple(presentation.generators), len(live), forward)

@@ -18,7 +18,6 @@ from lml.balls import (
     finite_ball_with_order,
     is_connected,
     parse_graph,
-    parse_rooted_ball,
     render_graph,
     render_rooted_ball,
     sphere_sizes,
@@ -519,12 +518,13 @@ def test_graph_text_round_trip():
 
 
 def test_rooted_ball_text_round_trip():
-    g = cycle_graph(9)
-    ball = finite_ball(g, 2, 3)
-    again = parse_rooted_ball(render_rooted_ball(ball))
-    assert again.edges == ball.edges
-    assert again.dist == ball.dist
-    assert again.radius == ball.radius
+    ball = finite_ball(cycle_graph(9), 2, 3)
+    text = render_rooted_ball(ball)
+    assert text == (
+        "7 6\n0 1\n0 2\n1 3\n2 4\n3 5\n4 6\n"
+        "root 0\nradius 3\ndist 0 1 1 2 2 3 3\n"
+    )
+    assert parse_graph(text.split("root")[0]).edges == ball.edges
 
 
 def test_parse_graph_errors():
@@ -538,27 +538,3 @@ def test_parse_graph_errors():
         parse_graph("3 1\n0 5\n")
     g = parse_graph("3 1 # comment\n0 1\n\n")
     assert g.edges == ((0, 1),)
-
-
-def test_parse_rooted_ball_errors():
-    with pytest.raises(ParseError):
-        parse_rooted_ball("2 1\n0 1\nroot 1\ndist 0 1\n")
-    with pytest.raises(ParseError):
-        parse_rooted_ball("2 1\n0 1\n")
-    got = parse_rooted_ball("2 1\n0 1\ndist 0 1\n")
-    assert got.radius == 1
-
-
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("2 1\n0 1\nroot\ndist 0 1\n", 3),
-        ("2 1\n0 1\nradius 0\ndist 0 1\n", 4),
-        ("2 1\n0 1\ndist 0 -1\n", 3),
-        ("2 1\nradius x\n0 1\ndist 0 1\n", 2),
-    ],
-)
-def test_parse_rooted_ball_bad_directives(text, line):
-    with pytest.raises(ParseError) as info:
-        parse_rooted_ball(text)
-    assert info.value.line == line

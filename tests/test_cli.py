@@ -17,9 +17,10 @@ import lml
 
 from lml.balls import (
     NotReachableError,
+    cayley_ball,
     parse_graph,
-    parse_rooted_ball,
     render_graph,
+    render_rooted_ball,
 )
 from lml import cli
 from lml.cli import main
@@ -80,15 +81,18 @@ def test_ball_preset_needs_bs_engine(capsys):
     assert out == "" and "s10" in err
 
 
-def test_ball_text_format_round_trips(capsys):
+def test_ball_text_format_round_trips(capsys, z2_setup):
     code, out, _ = run(
         capsys,
         "ball", "--engine", "zd", "--d", "2", "--radius", "2",
         "--format", "text",
     )
     assert code == 0
-    ball = parse_rooted_ball(out)
-    assert ball.vertex_count == 13 and ball.radius == 2
+    engine, genset = z2_setup[:2]
+    ball = cayley_ball(engine, genset, 2)
+    assert out == render_rooted_ball(ball)
+    assert parse_graph(out.split("root")[0]).edges == ball.edges
+    assert ball.vertex_count == 13
 
 
 def test_ball_custom_s(capsys):

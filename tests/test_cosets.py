@@ -6,7 +6,11 @@ import random
 
 import pytest
 from conftest import ROUND_TRIP_FIXTURES
-from oracles import brute_hom_classes, brute_least_conjugate
+from oracles import (
+    brute_hom_classes,
+    brute_least_conjugate,
+    find_on_read_todd_coxeter,
+)
 
 from lml.cosets import (
     DEFAULT_MAX_NODES,
@@ -93,6 +97,19 @@ def test_infinite_index_hits_the_cap():
         todd_coxeter(free2, [parse_word("a", ("a", "b"))], max_cosets=200)
     assert info.value.max_cosets == 200
     assert isinstance(info.value, ResourceLimitError)
+
+
+def test_coincidence_heavy_table_matches_the_find_on_read_enumeration(
+        z2_setup):
+    # Z60 x Z60 on the trivial subgroup: HLT allocates 6,963 cosets, and
+    # 3,363 of them die in coincidences.
+    _, _, presentation = z2_setup
+    alph = presentation.generators
+    pres = Presentation(alph, list(presentation.relators)
+                        + [parse_word(t, alph) for t in ("x^60", "y^60")])
+    table = todd_coxeter(pres, [])
+    assert table.cosets == 3600
+    assert table == find_on_read_todd_coxeter(pres, [])
 
 
 def test_todd_coxeter_is_deterministic():

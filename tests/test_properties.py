@@ -3,8 +3,9 @@ canonical relabelling of quotient images, and coset enumeration.
 
 The pinch-rewriting oracle in tests/oracles.py shares no code with the
 package, so u*s*label^-1 being trivial under it checks each step exactly.
-The relabelling is checked against the k! loop it replaced, and
-todd_coxeter's index against sympy's coset enumeration.
+The relabelling is checked against the k! loop it replaced, todd_coxeter's
+index against sympy's coset enumeration, and its whole table against the
+list-of-lists enumeration it replaced.
 """
 
 import pytest
@@ -13,9 +14,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_least_conjugate, pinch_identity
+from oracles import (
+    brute_least_conjugate,
+    find_on_read_todd_coxeter,
+    pinch_identity,
+)
 
-from lml.cosets import _least_conjugate, todd_coxeter
+from lml.cosets import IndexExceedsBound, _least_conjugate, todd_coxeter
 from lml.words import (
     BaumslagSolitarEngine,
     Presentation,
@@ -121,3 +126,34 @@ def test_todd_coxeter_index_matches_sympy():
         assert table.cosets == len(cosets.table)
 
     check()
+
+
+@st.composite
+def presentations(draw):
+    """(presentation, subgroup words, cap): 1-3 generators, 1-4 relators
+    and 0-2 subgroup words of up to 6 letters, and a cap of 50-5,000."""
+    ngen = draw(st.integers(1, 3))
+    names = ("x", "y", "z")[:ngen]
+    words_here = st.lists(
+        st.tuples(st.integers(0, ngen - 1),
+                  st.integers(-3, 3).filter(lambda e: e != 0)),
+        min_size=1, max_size=6,
+    ).map(word)
+    relators = draw(st.lists(words_here, min_size=1, max_size=4))
+    subgroup = draw(st.lists(words_here, max_size=2))
+    cap = draw(st.integers(50, 5000))
+    return Presentation(names, relators), subgroup, cap
+
+
+def enumeration(enumerate_cosets, presentation, subgroup, cap):
+    try:
+        return enumerate_cosets(presentation, subgroup, cap)
+    except IndexExceedsBound as err:
+        return ("IndexExceedsBound", err.max_cosets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_todd_coxeter_matches_the_find_on_read_enumeration(case):
+    assert (enumeration(todd_coxeter, *case)
+            == enumeration(find_on_read_todd_coxeter, *case))

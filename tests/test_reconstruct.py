@@ -486,6 +486,17 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_reconstruct_builds_the_model_adjacency_once(monkeypatch):
+    fx = ROUND_TRIP_FIXTURES[2]
+    graph = full_cayley_graph(fx)[3]
+    builds = count_calls(monkeypatch, balls, "_adjacency")
+    res = reconstruct(graph, fx.engine(), fx.genset(), fx.presentation(), 2)
+    assert res.succeeded
+    n = graph.vertex_count
+    assert [args[0] for args in builds].count(n) == 1
+    assert "adjacency" not in vars(graph)
+
+
 def test_reconstruct_builds_each_ball_once(monkeypatch):
     fx = ROUND_TRIP_FIXTURES[2]
     graph = full_cayley_graph(fx)[3]
