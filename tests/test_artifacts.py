@@ -89,6 +89,9 @@ GOLDEN = {
     "witness:bs-3-5-max-degree6": (
         0, "3f8b92d0fdb9e35a5c8b96edbe0728da096bf397a5bbb145c261b5a384619e79"
     ),
+    "witness:bs-9-10-max-degree8": (
+        0, "dce1ed5a3f87bc5cf53d335649488eb857b09734d91c695bbf02da7828e2cb00"
+    ),
 }
 
 
@@ -123,8 +126,11 @@ def artifact(name, capsys, tmp_path):
             capsys, "quotients", "--m", "3", "--n", "5", "--degree", "6"
         )
     if kind == "witness":
+        # README's own example, bs-9-10-max-degree8, and a smaller pair.
+        _, m, n, degree = case.split("-", 3)
         return cli_bytes(
-            capsys, "witness", "--m", "3", "--n", "5", "--max-degree", "6"
+            capsys, "witness", "--m", m, "--n", n,
+            "--max-degree", degree.removeprefix("max-degree"),
         )
     if kind == "verify":
         graph, radius = VERIFY_CASES[case]

@@ -305,6 +305,9 @@ def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
 # A search to a lower degree tries a subset of them, so they rise with k.
 NODES_BY_DEGREE = {
     (2, 3): (2, 10, 39, 115, 244, 496),
+    (3, 4): (2, 10, 41, 144, 400, 1040),
+    (3, 5): (2, 10, 41, 144, 437, 1364),
+    (4, 5): (2, 10, 41, 156, 542, 1806),
     (9, 10): (2, 10, 41, 155, 577, 2580),
 }
 
