@@ -5,15 +5,17 @@ finitely presented group (HLT strategy: relator scans with gap filling,
 coincidences merged into least representatives), producing the
 permutation action on the coset space.  It and the low-index search keep
 one table format, a flat list with row u at u * ncols and -1 undefined,
-and trace relators with one _scan; on a clash Todd-Coxeter merges the two
-cosets and the low-index search rejects the branch.  schreier_from_table
-turns a complete table into sigma maps plus a simple graph, counting the
-loops and parallel edges it had to drop.  enumerate_homs (Sims' low-index
-search) lists the transitive degree-k permutation quotients as coset
-tables, one per conjugacy class of index-k subgroups.  witness_report
-bundles evidence that the witness element of BS(m, n) is nontrivial yet
-maps to the identity in every quotient of degree <= K (one search to
-degree K finds them all), with d(e, witness).
+and trace relators with one resumable _scan; on a clash Todd-Coxeter
+merges the two cosets and the low-index search rejects the branch.
+schreier_from_table turns a complete table into sigma maps plus a simple
+graph, counting the loops and parallel edges it had to drop.
+enumerate_homs (Sims' low-index search, whose nodes only add entries, so
+each resumes its parent's stopped scans) lists the transitive degree-k
+permutation quotients as coset tables, one per conjugacy class of
+index-k subgroups.  witness_report bundles evidence that the witness
+element of BS(m, n) is nontrivial yet maps to the identity in every
+quotient of degree <= K (one search to degree K finds them all), with
+d(e, witness).
 """
 
 from __future__ import annotations
@@ -42,13 +44,15 @@ DEFAULT_MAX_NODES = 2_000_000
 
 
 class IndexExceedsBound(ResourceLimitError):
-    """Enumeration did not close within the coset cap (index may be infinite)."""
+    """Enumeration did not close within the coset cap (index may be
+    infinite); live and coincidences, if given, say what was reached."""
 
-    def __init__(self, max_cosets):
-        self.max_cosets = max_cosets
-        super().__init__(
-            f"enumeration did not close within {max_cosets} cosets"
-        )
+    def __init__(self, max_cosets, live=None, coincidences=None):
+        self.max_cosets, self.live = max_cosets, live
+        self.coincidences = coincidences
+        reached = f"; live cosets: {live}, coincidences so far: {coincidences}"
+        super().__init__(f"enumeration did not close within {max_cosets} "
+                         f"cosets{'' if live is None else reached}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +110,19 @@ def _columns(w, ngen):
     return out
 
 
-def _scan(table, ncols, start, cols):
-    """Trace the word cols from start through a flat coset table: row u
-    at u * ncols, -1 undefined.  Forward while defined, then backward.
+def _scan(table, ncols, cols, f, i, b, j):
+    """Trace the word cols from a coset start through a flat coset table,
+    row u at u * ncols and -1 undefined: forward while defined, then
+    backward.  A trace starts at (start, 0, start, len(cols) - 1), or
+    resumes from a state it returned if no cosets merged since.
 
     Returns (f, i, b, j): start * cols[:i] = f, b * cols[j+1:] = start.
     j < i: the word closed, a clash if f != b.  j == i: one gap, so
-    f * cols[i] = b, with both slots free.  j > i: more gaps.
-    """
-    f, i, j = start, 0, len(cols) - 1
+    f * cols[i] = b, with both slots free.  j > i: more gaps; the trace
+    stopped at slots f * cols[i] and b * cols[j]^-1."""
     while i <= j and (x := table[f * ncols + cols[i]]) >= 0:
         f = x
         i += 1
-    b = start
     while j >= i and (x := table[b * ncols + (cols[j] ^ 1)]) >= 0:
         b = x
         j -= 1
@@ -134,9 +138,10 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
     clash is a coincidence: the larger coset dies into the smaller, its
     row's entries move to the survivor and the back pointers into it are
     undefined (Handbook of Computational Group Theory, 5.1.3), so live
-    rows point only at live rows.  Deterministic; raises IndexExceedsBound
-    once max_cosets cosets have been defined (dead ones included, so the
-    cap is an allocation cap).
+    rows point only at live rows.  Deterministic; raises IndexExceedsBound,
+    with the live cosets and the coincidences so far, once max_cosets
+    cosets have been defined (dead ones included, so the cap is an
+    allocation cap).
     """
     ngen = len(presentation.generators)
     ncols = 2 * ngen
@@ -153,7 +158,8 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
 
     def define(u, c):
         if len(parent) >= max_cosets:
-            raise IndexExceedsBound(max_cosets)
+            live = sum(p == x for x, p in enumerate(parent))
+            raise IndexExceedsBound(max_cosets, live, len(parent) - live)
         v = len(parent)
         table.extend([-1] * ncols)
         parent.append(v)
@@ -182,17 +188,15 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
                     table[d * ncols + (c ^ 1)] = x
 
     def scan_and_fill(start, cols):
-        while True:
-            f, i, b, j = _scan(table, ncols, start, cols)
-            if j < i:
-                if f != b:
-                    coincide(f, b)
-                return
-            if j == i:
-                table[f * ncols + cols[i]] = b
-                table[b * ncols + (cols[i] ^ 1)] = f
-                return
-            define(f, cols[i])
+        f, i, b, j = _scan(table, ncols, cols, start, 0, start, len(cols) - 1)
+        while j > i:
+            define(f, cols[i])  # merges nothing, so the scan resumes
+            f, i, b, j = _scan(table, ncols, cols, f, i, b, j)
+        if j == i:
+            table[f * ncols + cols[i]] = b
+            table[b * ncols + (cols[i] ^ 1)] = f
+        elif f != b:
+            coincide(f, b)
 
     for w in subgroup_gens:
         scan_and_fill(0, _columns(w, ngen))
@@ -338,47 +342,51 @@ def _least_conjugate(images, k):
     return tuple(tuple(best[i:i + k]) for i in range(0, total, k))
 
 
-def _deduce(table, n, ncols, relators):
-    """Scan every relator from every coset until no gap is left to fill.
+def _deduce(table, ncols, scans):
+    """Resume the open relator scans (cols, f, i, b, j) that new entries
+    moved, filling single gaps, until none moves; the scans still open,
+    or None on a clash (a relator traced round to another coset).  As
+    entries are only added, a scan whose stop slots are both undefined
+    would stop there again; j <= i is a short relator's unrun scan."""
+    moved = True
+    while moved:
+        moved, still = False, []
+        for cols, f, i, b, j in scans:
+            if (j <= i or table[f * ncols + cols[i]] >= 0
+                    or table[b * ncols + (cols[j] ^ 1)] >= 0):
+                f, i, b, j = _scan(table, ncols, cols, f, i, b, j)
+            if j > i:
+                still.append((cols, f, i, b, j))
+            elif j == i:
+                table[f * ncols + cols[i]] = b
+                table[b * ncols + (cols[i] ^ 1)] = f
+                moved = True
+            elif f != b:
+                return None
+        scans = still
+    return scans
 
-    False on a clash: a relator traced round to another coset.  Single
-    gaps are filled in place."""
-    changed = True
-    while changed:
-        changed = False
-        for start in range(n):
-            for cols in relators:
-                f, i, b, j = _scan(table, ncols, start, cols)
-                if j < i:
-                    if f != b:
-                        return False
-                elif j == i:
-                    table[f * ncols + cols[i]] = b
-                    table[b * ncols + (cols[i] ^ 1)] = f
-                    changed = True
-    return True
 
-
-def _least_in_class(table, n, ncols):
-    """False if another base point, renumbered by first occurrence, gives
-    a row-major smaller table.  Entries are compared up to the first
-    undefined one, so a False also rules out every completion."""
-    for base in range(1, n):
-        new, old = {base: 0}, [base]
+def _least_in_class(table, ncols, tied):
+    """The base points of tied whose table, renumbered by first
+    occurrence, ties with table row-major up to the first undefined
+    entry; None if one is smaller there, and so in every completion.  A
+    base larger at a defined entry stays larger, so it is dropped."""
+    still = []
+    for base in tied:
+        old = [base]
         for pos, u in enumerate(table):
-            if u < 0:
+            if u < 0 or (v := table[old[pos // ncols] * ncols
+                                    + pos % ncols]) < 0:
+                still.append(base)
                 break
-            v = table[old[pos // ncols] * ncols + pos % ncols]
-            if v < 0:
-                break
-            if v not in new:
-                new[v] = len(old)
+            if v not in old:
                 old.append(v)
-            if new[v] != u:
-                if new[v] < u:
-                    return False
+            if (w := old.index(v)) != u:
+                if w < u:
+                    return None
                 break
-    return True
+    return still
 
 
 def _low_index(presentation, max_degree, max_nodes):
@@ -386,21 +394,26 @@ def _low_index(presentation, max_degree, max_nodes):
     quotient per conjugacy class, in one search.
 
     Sims' low-index search over partial coset tables in _scan's format,
-    with an explicit stack.  Each node fills the first undefined entry
-    with an existing coset or the next new one, then runs _deduce and
-    _least_in_class.  A table complete on n cosets is a leaf and a
-    degree-n class.  The search to a lower degree tries a subset of these
-    nodes, so max_nodes (table entries tried) is hit here exactly when
-    some such search would hit it.
-    """
+    with a stack of (table, cosets, position, open scans, tied bases).
+    Each node fills the first undefined entry with an existing coset or
+    the next new one, which opens its scans and joins the bases; _deduce
+    and _least_in_class then redo only what the new entries can change.
+    A table complete on n cosets is a leaf and a degree-n class.  A
+    search to a lower degree tries a subset of these nodes, so max_nodes
+    (table entries tried) is hit exactly when some such search would."""
     ngen = len(presentation.generators)
     ncols = 2 * ngen
     relators = [_columns(rel, ngen) for rel in presentation.relators]
+
+    def opening(u):  # every relator's scan from a new coset u, not yet run
+        return [(cols, u, 0, u, len(cols) - 1) for cols in relators]
+
     found = [[] for _ in range(max_degree)]
     nodes = 0
-    stack = [([-1] * (max_degree * ncols), 1, 0)] if max_degree else []
+    stack = ([([-1] * (max_degree * ncols), 1, 0, opening(0), [])]
+             if max_degree else [])
     while stack:
-        table, n, pos = stack.pop()
+        table, n, pos, scans, tied = stack.pop()
         while pos < n * ncols and table[pos] >= 0:
             pos += 1
         if pos == n * ncols:
@@ -423,10 +436,13 @@ def _low_index(presentation, max_degree, max_nodes):
             child = table[:]
             child[pos] = d
             child[d * ncols + (x ^ 1)] = c
-            m = max(n, d + 1)
-            if (_deduce(child, m, ncols, relators)
-                    and _least_in_class(child, m, ncols)):
-                stack.append((child, m, pos + 1))
+            opened, bases = scans, tied
+            if d == n:  # a new coset opens its scans and joins the bases
+                opened, bases = scans + opening(d), tied + [d]
+            if ((opened := _deduce(child, ncols, opened)) is not None
+                    and (bases := _least_in_class(child, ncols, bases))
+                    is not None):
+                stack.append((child, max(n, d + 1), pos + 1, opened, bases))
     return found
 
 

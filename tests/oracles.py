@@ -1,14 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last eight
+Everything here is deliberately naive and, apart from the last nine
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last eight keep an earlier
+algorithms, different representations.  The last nine keep an earlier
 form of a package routine and call the package for everything else; the
-last three hold the finite-ball and connectivity searches from before
+last four hold the finite-ball and connectivity searches from before
 every ball was grown by one breadth-first search, the vertex walk from
-before it kept each vertex ball as plain lists, and Todd-Coxeter from
-before it shared the low-index search's table and relator scan.  Speed only matters
-enough for the test sizes.
+before it kept each vertex ball as plain lists, Todd-Coxeter from before
+it shared the low-index search's table and relator scan, and the
+low-index search from before each node resumed its open relator scans
+and kept only its tied base points.  Speed only matters enough for the
+test sizes.
 """
 
 import itertools
@@ -45,7 +47,7 @@ from lml.reconstruct import (
     present_on_S,
     stabilizer,
 )
-from lml.words import _perm_inverse, word
+from lml.words import ResourceLimitError, _perm_inverse, word
 
 
 # ---------------------------------------------------------------------------
@@ -725,3 +727,113 @@ def find_on_read_todd_coxeter(presentation, subgroup_gens,
         back = tuple(renumber[entry(u, 2 * g + 1)] for u in live)
         assert back == _perm_inverse(col), "inverse column mismatch"
     return CosetTable(tuple(presentation.generators), len(live), forward)
+
+
+# ---------------------------------------------------------------------------
+# the low-index search that rescans every relator from every coset
+
+
+def _rescan(table, ncols, start, cols):
+    """Trace the word cols from start through a flat coset table: row u
+    at u * ncols, -1 undefined.  Forward while defined, then backward.
+
+    Returns (f, i, b, j): start * cols[:i] = f, b * cols[j+1:] = start.
+    j < i: the word closed, a clash if f != b.  j == i: one gap, so
+    f * cols[i] = b, with both slots free.  j > i: more gaps.
+    """
+    f, i, j = start, 0, len(cols) - 1
+    while i <= j and (x := table[f * ncols + cols[i]]) >= 0:
+        f = x
+        i += 1
+    b = start
+    while j >= i and (x := table[b * ncols + (cols[j] ^ 1)]) >= 0:
+        b = x
+        j -= 1
+    return f, i, b, j
+
+
+def _rescanning_deduce(table, n, ncols, relators):
+    """Scan every relator from every coset until no gap is left to fill.
+
+    False on a clash: a relator traced round to another coset.  Single
+    gaps are filled in place."""
+    changed = True
+    while changed:
+        changed = False
+        for start in range(n):
+            for cols in relators:
+                f, i, b, j = _rescan(table, ncols, start, cols)
+                if j < i:
+                    if f != b:
+                        return False
+                elif j == i:
+                    table[f * ncols + cols[i]] = b
+                    table[b * ncols + (cols[i] ^ 1)] = f
+                    changed = True
+    return True
+
+
+def _rescanning_least_in_class(table, n, ncols):
+    """False if another base point, renumbered by first occurrence, gives
+    a row-major smaller table.  Entries are compared up to the first
+    undefined one, so a False also rules out every completion."""
+    for base in range(1, n):
+        new, old = {base: 0}, [base]
+        for pos, u in enumerate(table):
+            if u < 0:
+                break
+            v = table[old[pos // ncols] * ncols + pos % ncols]
+            if v < 0:
+                break
+            if v not in new:
+                new[v] = len(old)
+                old.append(v)
+            if new[v] != u:
+                if new[v] < u:
+                    return False
+                break
+    return True
+
+
+def rescanning_low_index(presentation, max_degree, max_nodes):
+    """cosets._low_index as the package ran it before each node resumed
+    its open relator scans and kept only its tied base points: every node
+    rescans every relator from every coset and compares every base point
+    from the start.  Per degree 1..max_degree, the generator images of
+    one transitive quotient per conjugacy class, in one search.
+    """
+    ngen = len(presentation.generators)
+    ncols = 2 * ngen
+    relators = [_columns(rel, ngen) for rel in presentation.relators]
+    found = [[] for _ in range(max_degree)]
+    nodes = 0
+    stack = [([-1] * (max_degree * ncols), 1, 0)] if max_degree else []
+    while stack:
+        table, n, pos = stack.pop()
+        while pos < n * ncols and table[pos] >= 0:
+            pos += 1
+        if pos == n * ncols:
+            found[n - 1].append(tuple(
+                tuple(table[2 * g:pos:ncols]) for g in range(ngen)
+            ))
+            continue
+        c, x = divmod(pos, ncols)
+        for d in range(min(n + 1, max_degree)):
+            if table[d * ncols + (x ^ 1)] >= 0:
+                continue
+            if nodes >= max_nodes:
+                counts = [len(f) for f in found]
+                raise ResourceLimitError(
+                    f"low-index search to degree {max_degree} reached "
+                    f"max_nodes={max_nodes} table entries; classes so far: "
+                    f"{sum(counts)} (by degree: {str(counts)[1:-1]})"
+                )
+            nodes += 1
+            child = table[:]
+            child[pos] = d
+            child[d * ncols + (x ^ 1)] = c
+            m = max(n, d + 1)
+            if (_rescanning_deduce(child, m, ncols, relators)
+                    and _rescanning_least_in_class(child, m, ncols)):
+                stack.append((child, m, pos + 1))
+    return found

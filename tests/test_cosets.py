@@ -10,6 +10,7 @@ from oracles import (
     brute_hom_classes,
     brute_least_conjugate,
     find_on_read_todd_coxeter,
+    rescanning_low_index,
 )
 
 from lml.cosets import (
@@ -97,6 +98,17 @@ def test_infinite_index_hits_the_cap():
         todd_coxeter(free2, [parse_word("a", ("a", "b"))], max_cosets=200)
     assert info.value.max_cosets == 200
     assert isinstance(info.value, ResourceLimitError)
+    # The error says what was reached: every coset still live, none merged.
+    assert (info.value.live, info.value.coincidences) == (200, 0)
+    assert str(info.value) == (
+        "enumeration did not close within 200 cosets; "
+        "live cosets: 200, coincidences so far: 0"
+    )
+    # BS(1, 2) over the trivial subgroup merges cosets on the way.
+    with pytest.raises(IndexExceedsBound) as info:
+        todd_coxeter(bs_presentation(1, 2), [], max_cosets=200)
+    assert (info.value.live, info.value.coincidences) == (193, 7)
+    assert "live cosets: 193, coincidences so far: 7" in str(info.value)
 
 
 def test_coincidence_heavy_table_matches_the_find_on_read_enumeration(
@@ -299,6 +311,14 @@ def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
             moved = tuple(tuple(c[p[c.index(x)]] for x in range(k))
                           for p in images)
             assert _least_conjugate(moved, k) == images
+
+
+@pytest.mark.parametrize("m, n", WITNESS_PAIRS)
+def test_low_index_matches_the_rescanning_search(m, n):
+    # Same classes in the same order, so the same depth-first tree.
+    pres = bs_presentation(m, n)
+    assert (_low_index(pres, 7, DEFAULT_MAX_NODES)
+            == rescanning_low_index(pres, 7, DEFAULT_MAX_NODES))
 
 
 # Table entries the search to degree k tries, found by bisecting max_nodes.

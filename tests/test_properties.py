@@ -4,8 +4,9 @@ canonical relabelling of quotient images, and coset enumeration.
 The pinch-rewriting oracle in tests/oracles.py shares no code with the
 package, so u*s*label^-1 being trivial under it checks each step exactly.
 The relabelling is checked against the k! loop it replaced, todd_coxeter's
-index against sympy's coset enumeration, and its whole table against the
-list-of-lists enumeration it replaced.
+index against sympy's coset enumeration, its whole table against the
+list-of-lists enumeration it replaced, and the low-index search against
+the one that rescanned every relator from every coset at every node.
 """
 
 import pytest
@@ -18,12 +19,19 @@ from oracles import (
     brute_least_conjugate,
     find_on_read_todd_coxeter,
     pinch_identity,
+    rescanning_low_index,
 )
 
-from lml.cosets import IndexExceedsBound, _least_conjugate, todd_coxeter
+from lml.cosets import (
+    IndexExceedsBound,
+    _least_conjugate,
+    _low_index,
+    todd_coxeter,
+)
 from lml.words import (
     BaumslagSolitarEngine,
     Presentation,
+    ResourceLimitError,
     britton_normal_form,
     concat,
     invert,
@@ -157,3 +165,35 @@ def enumeration(enumerate_cosets, presentation, subgroup, cap):
 def test_todd_coxeter_matches_the_find_on_read_enumeration(case):
     assert (enumeration(todd_coxeter, *case)
             == enumeration(find_on_read_todd_coxeter, *case))
+
+
+@st.composite
+def low_index_cases(draw):
+    """(presentation, degree, cap): 1-3 generators, 1-3 relators of up to
+    8 letters (some reduce to length 0 or 1), degree 1-5 and a cap of
+    1-2,000 table entries."""
+    ngen = draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, ngen - 1), st.sampled_from((-1, 1)))
+    relators = draw(st.lists(
+        st.lists(letter, min_size=1, max_size=8).map(word),
+        min_size=1, max_size=3,
+    ))
+    names = ("x", "y", "z")[:ngen]
+    return (Presentation(names, relators), draw(st.integers(1, 5)),
+            draw(st.integers(1, 2000)))
+
+
+def quotient_search(search, presentation, degree, cap):
+    try:
+        return search(presentation, degree, cap)
+    except ResourceLimitError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_index_cases())
+def test_low_index_matches_the_rescanning_search(case):
+    # Equal found lists in the same order, or the same cap message, whose
+    # counts so far depend on the depth-first order.
+    assert (quotient_search(_low_index, *case)
+            == quotient_search(rescanning_low_index, *case))
