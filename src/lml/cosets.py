@@ -48,8 +48,8 @@ class IndexExceedsBound(ResourceLimitError):
     infinite); live and coincidences, if given, say what was reached."""
 
     def __init__(self, max_cosets, live=None, coincidences=None):
-        self.max_cosets, self.live = max_cosets, live
-        self.coincidences = coincidences
+        self.max_cosets = max_cosets
+        self.live, self.coincidences = live, coincidences
         reached = f"; live cosets: {live}, coincidences so far: {coincidences}"
         super().__init__(f"enumeration did not close within {max_cosets} "
                          f"cosets{'' if live is None else reached}")
@@ -117,15 +117,18 @@ def _scan(table, ncols, cols, f, i, b, j):
     resumes from a state it returned if no cosets merged since.
 
     Returns (f, i, b, j): start * cols[:i] = f, b * cols[j+1:] = start.
-    j < i: the word closed, a clash if f != b.  j == i: one gap, so
-    f * cols[i] = b, with both slots free.  j > i: more gaps; the trace
-    stopped at slots f * cols[i] and b * cols[j]^-1."""
+    j < i: the word closed, a clash if f != b.  j == i: one gap, which
+    is filled, f * cols[i] = b.  j > i: more gaps; the trace stopped at
+    slots f * cols[i] and b * cols[j]^-1."""
     while i <= j and (x := table[f * ncols + cols[i]]) >= 0:
         f = x
         i += 1
     while j >= i and (x := table[b * ncols + (cols[j] ^ 1)]) >= 0:
         b = x
         j -= 1
+    if j == i:
+        table[f * ncols + cols[i]] = b
+        table[b * ncols + (cols[i] ^ 1)] = f
     return f, i, b, j
 
 
@@ -192,10 +195,7 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
         while j > i:
             define(f, cols[i])  # merges nothing, so the scan resumes
             f, i, b, j = _scan(table, ncols, cols, f, i, b, j)
-        if j == i:
-            table[f * ncols + cols[i]] = b
-            table[b * ncols + (cols[i] ^ 1)] = f
-        elif f != b:
+        if j < i and f != b:
             coincide(f, b)
 
     for w in subgroup_gens:
@@ -344,10 +344,10 @@ def _least_conjugate(images, k):
 
 def _deduce(table, ncols, scans):
     """Resume the open relator scans (cols, f, i, b, j) that new entries
-    moved, filling single gaps, until none moves; the scans still open,
-    or None on a clash (a relator traced round to another coset).  As
-    entries are only added, a scan whose stop slots are both undefined
-    would stop there again; j <= i is a short relator's unrun scan."""
+    moved, until none moves; the scans still open, or None on a clash (a
+    relator traced round to another coset).  As entries are only added,
+    a scan whose stop slots are both undefined would stop there again;
+    j <= i is a short relator's unrun scan."""
     moved = True
     while moved:
         moved, still = False, []
@@ -358,9 +358,7 @@ def _deduce(table, ncols, scans):
             if j > i:
                 still.append((cols, f, i, b, j))
             elif j == i:
-                table[f * ncols + cols[i]] = b
-                table[b * ncols + (cols[i] ^ 1)] = f
-                moved = True
+                moved = True  # _scan filled the gap
             elif f != b:
                 return None
         scans = still

@@ -342,6 +342,7 @@ def test_cosets_infinite_index(capsys, tmp_path):
         "--subgroup", "a", "--max-cosets", "100",
     )
     assert code == 2 and "100" in err
+    assert "live cosets: 100, coincidences so far: 0" in err
 
 
 S4_PRESENTATION = "gens a b\nrel a^2\nrel b^4\nrel a b a b a b\n"
