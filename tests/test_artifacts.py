@@ -1,8 +1,8 @@
 """Golden digests: the JSON artifacts stay byte-identical across versions.
 
 Each builder produces the exact bytes the CLI writes for one run (stdout
-of `lml verify` / `lml r0` / `lml cosets` / `lml quotients` /
-`lml witness`, or the `reconstruct` document serialized the way the CLI
+of `lml verify` / `lml r0` / `lml ball` / `lml distance` / `lml cosets` /
+`lml quotients` / `lml witness`, or the `reconstruct` document serialized the way the CLI
 serializes it), and the test pins its sha256 together with the exit code.
 A change that alters a witness mapping, a rejection vertex or reason, an
 automorphism count, a recovered presentation, a coset numbering or a
@@ -46,6 +46,30 @@ VERIFY_CASES = {
     "twisted-torus-9x9-r2": (torus_with_twist(9, 9, 4, 5), 2),
 }
 
+# Runs given by their argv alone.  r0 pins automorphism counts and the
+# witness mapping, which depends on the order of S; ball pins the labels
+# made from the stepped keys.
+ARGV_CASES = {
+    "r0:s10-r2-bound3": ("r0", "--preset", "s10", "--r", "2", "--bound", "3"),
+    "r0:bs-3-5-s10-r2-bound4": (
+        "r0", "--m", "3", "--n", "5", "--preset", "s10", "--r", "2", "--bound", "4",
+    ),
+    "r0:bs-2-3-s10-r2-bound4": (
+        "r0", "--m", "2", "--n", "3", "--preset", "s10", "--r", "2", "--bound", "4",
+    ),
+    "r0:permuted-s-r2-bound3": (
+        "r0", "--s", "b^4|a b|a^-1|b|a|b^-1|a^2|a^-2|b^-1 a^-1|b^-4",
+        "--r", "2", "--bound", "3",
+    ),
+    "ball:bs-s10-radius3": (
+        "ball", "--engine", "bs", "--preset", "s10", "--radius", "3",
+    ),
+    "distance:bs-s10-d6": (
+        "distance", "--engine", "bs", "--preset", "s10",
+        "--word", "a b a^-1 b a b^-1 a^-1 b^-1",
+    ),
+}
+
 GOLDEN = {
     "verify:torus-8x8-r3": (
         0, "d0c3936d7e3137549f1555b93e8aeba9f84246a0ba6e1a6b96e2ec527aff1776"
@@ -61,6 +85,21 @@ GOLDEN = {
     ),
     "r0:s10-r2-bound3": (
         0, "6bdfacbae322e07e6438598621928dfae4deff9689effe32d2c22edfa98c3126"
+    ),
+    "r0:bs-3-5-s10-r2-bound4": (
+        0, "b868f76050352afa2886dbb05e743f8f840c37466bff2e1e050f990c12e91481"
+    ),
+    "r0:bs-2-3-s10-r2-bound4": (
+        0, "5cd850b39a68d73b264a4a695793dad660259b3a13c3e40c4727689da9e34666"
+    ),
+    "r0:permuted-s-r2-bound3": (
+        0, "43ccad8e6822bc476c8f9dbfc16c9f91a1b3409d42430d85b474075451f42496"
+    ),
+    "ball:bs-s10-radius3": (
+        0, "76bb0392206e8cb9672bb18b2e02a363cf346558a521f81c3f750e3374284cf6"
+    ),
+    "distance:bs-s10-d6": (
+        0, "7de27202839ec41507ea0ee17fab887d3ea14bb8570b889d77ef3e8c3321a3c1"
     ),
     "reconstruct:S4-r2": (
         0, "0820d8c6ae2a25e25d2c74f0e6a17fd7cb9fedb1b7743cd0851cab4111559a5f"
@@ -110,6 +149,8 @@ def presentation_file(tmp_path, fixture):
 
 
 def artifact(name, capsys, tmp_path):
+    if name in ARGV_CASES:
+        return cli_bytes(capsys, *ARGV_CASES[name])
     kind, case = name.split(":")
     if kind == "cosets":
         # Coincidences: 3, 5 and 51 in the whole-group enumerations of S4,
@@ -139,10 +180,6 @@ def artifact(name, capsys, tmp_path):
         return cli_bytes(
             capsys, "verify", "--engine", "zd", "--d", "2",
             "--graph", str(path), "--radius", str(radius),
-        )
-    if kind == "r0":
-        return cli_bytes(
-            capsys, "r0", "--preset", "s10", "--r", "2", "--bound", "3"
         )
     fixture = next(f for f in ROUND_TRIP_FIXTURES if f"{f.name}-r2" == case)
     engine, genset = fixture.engine(), fixture.genset()
