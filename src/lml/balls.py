@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 from .words import ParseError, ResourceLimitError, word
 
@@ -152,13 +151,13 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     order); vertex 0 is the identity, so for a validated S and radius >= 1
     vertex i + 1 is S-letter i.  Edges are all pairs {u, u*s} with
     both endpoints inside the ball, including sphere-to-sphere edges.
-    The search runs on engine keys, one step per (vertex, letter); labels
-    are made only if read.
+    The search runs on engine keys, one call of a letter's stepper per
+    (vertex, letter); labels are made only if read.
     """
-    step, letters = engine.step, genset.words
+    steppers = [engine.stepper(s) for s in genset.words]
     keys, dist, nbrs = _grow(
         engine.key(word()),
-        lambda k: map(step, repeat(k), letters),
+        lambda k: [f(k) for f in steppers],
         radius,
         max_vertices,
     )
@@ -199,6 +198,7 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
     kg = engine.key(g)
     if ke == kg:
         return 0
+    steppers = [engine.stepper(s) for s in genset.words]
     visited = ({ke: 0}, {kg: 0})
     frontiers = ([ke], [kg])
     depth = [0, 0]
@@ -212,8 +212,8 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
         nxt = []
         d = depth[side] + 1
         for u in frontiers[side]:
-            for s in genset.words:
-                k = engine.step(u, s)
+            for f in steppers:
+                k = f(u)
                 if k in here:
                     continue
                 if len(visited[0]) + len(visited[1]) >= max_explored:

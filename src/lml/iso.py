@@ -18,7 +18,9 @@ images of 0..j-1 are exactly {0..j-1} and each moved u < j (image not u)
 has its image adjacent to every neighbor w >= j of u, the identity on
 j..n-1 completes an automorphism.  It is the lex-first completion: then
 j is the least unused candidate for j and passes the neighbor test, and
-so on up.  So an automorphism_scan probe costs about the vertices it moves.
+so on up.  So an automorphism_scan probe costs about the vertices it moves,
+and a twin swap, once the scan wants no witness there, is counted with no
+probe; a witness still comes from a probe, so it is the lex-first one.
 """
 
 from __future__ import annotations
@@ -207,6 +209,11 @@ def first_rooted_isomorphism(b1, b2):
     return RootedIso(p1.ball, p2.ball, res[0]).validate() if res else None
 
 
+def _twins(masks, u, v):
+    """Do u and v have the same neighbors, apart from each other?"""
+    return not (masks[u] ^ masks[v]) & ~((1 << u) | (1 << v))
+
+
 def automorphism_scan(ball, inner_radius):
     """Exact rooted-automorphism count, without enumerating the group.
 
@@ -218,7 +225,8 @@ def automorphism_scan(ball, inner_radius):
     the product of the orbit sizes.  The orbit of i is probed with one
     search per same-color t > i for the lex-first automorphism fixing
     0..i-1 and sending i to t, from i to identity completion (module
-    docstring).  The count is never materialized as a list of maps.
+    docstring); a twin t needs none once no witness is wanted at i, as
+    (i t) fixes 0..i-1.  The count is never materialized as a list of maps.
     """
     p = prepare(ball)
     ball = p.ball
@@ -229,13 +237,16 @@ def automorphism_scan(ball, inner_radius):
     if any(dist[v] > dist[v + 1] for v in range(n - 1)):
         # The chain argument below needs the inner ball to be a prefix.
         raise ValueError("vertex order must be nondecreasing in distance")
-    count, witness = 1, None
+    count, witness, masks = 1, None, p.masks
     for i in range(n):
         orbit = 1
         for t in p.cells[p.colors[i]]:
             if t <= i:
                 # t < i is already pointwise-fixed at this link, so it
                 # cannot also receive i; t == i is the identity branch.
+                continue
+            if (witness or dist[i] > inner_radius) and _twins(masks, i, t):
+                orbit += 1
                 continue
             res = _search(p.colors, ball.adjacency, p, True, probe=(i, t))
             if res:
@@ -290,7 +301,7 @@ def canonical_key(ball):
         used, row, choices, taken = stack[-1]
         del order[pos:], rows[pos:]
         for v in choices:
-            if all((adj[v] ^ adj[u]) & ~((1 << v) | (1 << u)) for u in taken):
+            if not any(_twins(adj, v, u) for u in taken):
                 break
         else:
             stack.pop()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 
 class LmlError(Exception):
@@ -46,9 +46,6 @@ class ResourceLimitError(LmlError):
 
 # ---------------------------------------------------------------------------
 # words
-
-
-Letter = tuple  # (generator index, nonzero exponent)
 
 
 @dataclass(frozen=True)
@@ -225,36 +222,67 @@ class BrittonForm:
         return word(pairs)
 
 
-def britton_step(key, w, m, n, a=0, b=1):
-    """The (t0, syllables) key of the canonical form `key` times the word w.
+def _b_rule(e, m, n):
+    """t0 after b^e on (t0, stack): add e to the last residue, carry left."""
 
-    Appending one letter to a canonical form changes only its tail: b^e
-    adds to the last residue and carries leftward while the carry is
-    nonzero, and a^(+-1) cancels a final syllable of the opposite sign with
-    residue 0 (a pinch) or opens a new syllable with residue 0.
-    """
-    t0, stack = key[0], list(key[1])
+    def rule(t0, stack):
+        if stack:
+            eps, t = stack[-1]
+            if 0 <= t + e < (m if eps == 1 else n):  # no carry
+                stack[-1] = (eps, t + e)
+                return t0
+        carry = e
+        for i in range(len(stack) - 1, -1, -1):
+            eps, t = stack[i]
+            mod, other = (m, n) if eps == 1 else (n, m)
+            carry, r = divmod(t + carry, mod)
+            stack[i] = (eps, r)
+            if not carry:
+                return t0
+            carry *= other
+        return t0 + carry
+
+    return rule
+
+
+def _a_rule(sign):
+    """t0 after a^sign on (t0, stack): pinch (-sign, 0) or push (sign, 0)."""
+    pinch, push = (-sign, 0), (sign, 0)
+
+    def rule(t0, stack):
+        if stack and stack[-1] == pinch:
+            stack.pop()
+        else:
+            stack.append(push)
+        return t0
+
+    return rule
+
+
+def britton_stepper(w, m, n, a=0, b=1):
+    """key -> key times w on the (t0, syllables) keys of BS(m, n), built
+    once: one Britton rule per b-letter and per a^(+-1), each on the tail."""
+    rules = []
     for g, e in w.letters:
         if g == b:
-            carry, i = e, len(stack) - 1
-            while carry and i >= 0:
-                eps, t = stack[i]
-                mod, other = (m, n) if eps == 1 else (n, m)
-                carry, r = divmod(t + carry, mod)
-                carry *= other
-                stack[i] = (eps, r)
-                i -= 1
-            t0 += carry
+            rules.append(_b_rule(e, m, n))
         elif g == a:
-            sign = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                if stack and stack[-1] == (-sign, 0):
-                    stack.pop()
-                else:
-                    stack.append((sign, 0))
+            rules.extend([_a_rule(1 if e > 0 else -1)] * abs(e))
         else:
             raise ValueError(f"letter {g} outside the two-letter BS alphabet")
-    return t0, tuple(stack)
+
+    def stepper(key):
+        t0, stack = key[0], list(key[1])
+        for rule in rules:
+            t0 = rule(t0, stack)
+        return t0, tuple(stack)
+
+    return stepper
+
+
+def britton_step(key, w, m, n, a=0, b=1):
+    """The (t0, syllables) key of the form `key` times w, rule by rule."""
+    return britton_stepper(w, m, n, a, b)(key)
 
 
 def _check_bs(m, n):
@@ -277,10 +305,11 @@ class GroupEngine:
 
     key(w) is a hashable token of the element w names (the vertex identity
     in ball constructions), label(key) is that element's normal-form Word,
-    and step(key, w) is the key of that element times w, so ball searches
-    run on keys alone.  normal_form = label . key is idempotent and constant
-    on group-equal words.  Engines are immutable after construction; any
-    caching is semantically invisible.
+    and stepper(w) maps each key to the key of that element times w, so
+    ball searches run on keys alone: built once per word, it keeps no state
+    across calls, and step(key, w) is stepper(w)(key).  normal_form =
+    label . key is idempotent and constant on group-equal words.  Engines
+    are immutable after construction; any caching is semantically invisible.
     """
 
     alphabet = ()
@@ -292,8 +321,11 @@ class GroupEngine:
     def label(self, key):
         raise NotImplementedError
 
+    def stepper(self, w):
+        return lambda key: self.key(concat(self.label(key), w))
+
     def step(self, key, w):
-        return self.key(concat(self.label(key), w))
+        return self.stepper(w)(key)
 
     def normal_form(self, w):
         return self.label(self.key(w))
@@ -364,8 +396,8 @@ class BaumslagSolitarEngine(GroupEngine):
     def label(self, key):
         return BrittonForm(self.m, self.n, *key).to_word()
 
-    def step(self, key, w):
-        return britton_step(key, w, self.m, self.n)
+    def stepper(self, w):
+        return britton_stepper(w, self.m, self.n)
 
     def is_identity(self, w):
         return self.britton(w).is_identity()
@@ -373,7 +405,7 @@ class BaumslagSolitarEngine(GroupEngine):
 
 def _perm_compose(p, q):
     # apply p first, then q (left-to-right, matching word order)
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def _perm_inverse(p):
@@ -399,7 +431,7 @@ class FinitePermutationEngine(GroupEngine):
     Words act on {0..degree-1} left-to-right, and a key is the permutation
     a word acts by.  label returns the shortlex-least word reaching that
     permutation, from a table built lazily by breadth-first search over the
-    whole group; key and step never build it.
+    whole group; key and stepper never build it.
     """
 
     kind = "perm"
@@ -423,11 +455,10 @@ class FinitePermutationEngine(GroupEngine):
     def permutation(self, w):
         return _word_permutation(w, self.degree, self.images, self._inverses)
 
-    def key(self, w):
-        return self.permutation(w)
+    key = permutation
 
-    def step(self, key, w):
-        return _perm_compose(key, self.permutation(w))
+    def stepper(self, w):
+        return partial(_perm_compose, q=self.permutation(w))
 
     def is_identity(self, w):
         return self.permutation(w) == self.identity
@@ -436,22 +467,20 @@ class FinitePermutationEngine(GroupEngine):
     def _table(self):
         table = {self.identity: ()}
         queue = [self.identity]
-        steps = []
-        for g in range(len(self.alphabet)):
-            steps.append((g, 1, self.images[g]))
-            steps.append((g, -1, self._inverses[g]))
+        steps = [((g, e), self.stepper(word(((g, e),))))
+                 for g in range(len(self.alphabet)) for e in (1, -1)]
         while queue:
             nxt = []
             for p in queue:
                 base = table[p]
-                for g, e, img in steps:
-                    q = _perm_compose(p, img)
+                for letter, step in steps:
+                    q = step(p)
                     if q not in table:
                         if len(table) >= self._table_cap:
                             raise ResourceLimitError(
                                 f"group exceeds table cap {self._table_cap}"
                             )
-                        table[q] = base + ((g, e),)
+                        table[q] = base + (letter,)
                         nxt.append(q)
             queue = nxt
         return table

@@ -1,15 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last nine
+Everything here is deliberately naive and, apart from the last ten
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last nine keep an earlier
+algorithms, different representations.  The last ten keep an earlier
 form of a package routine and call the package for everything else; the
-last four hold the finite-ball and connectivity searches from before
+last five hold the finite-ball and connectivity searches from before
 every ball was grown by one breadth-first search, the vertex walk from
 before it kept each vertex ball as plain lists, Todd-Coxeter from before
-it shared the low-index search's table and relator scan, and the
-low-index search from before each node resumed its open relator scans
-and kept only its tied base points.  Speed only matters enough for the
+it shared the low-index search's table and relator scan, the low-index
+search from before each node resumed its open relator scans and kept
+only its tied base points, and the Britton step from before each word
+was compiled into per-letter rules.  Speed only matters enough for the
 test sizes.
 """
 
@@ -837,3 +838,39 @@ def rescanning_low_index(presentation, max_degree, max_nodes):
                     and _rescanning_least_in_class(child, m, ncols)):
                 stack.append((child, m, pos + 1))
     return found
+
+
+# ---------------------------------------------------------------------------
+# the Britton step as one loop over the letters of the word
+
+
+def loop_britton_step(key, w, m, n, a=0, b=1):
+    """The (t0, syllables) key of the canonical form `key` times the word w.
+
+    Appending one letter to a canonical form changes only its tail: b^e
+    adds to the last residue and carries leftward while the carry is
+    nonzero, and a^(+-1) cancels a final syllable of the opposite sign with
+    residue 0 (a pinch) or opens a new syllable with residue 0.
+    """
+    t0, stack = key[0], list(key[1])
+    for g, e in w.letters:
+        if g == b:
+            carry, i = e, len(stack) - 1
+            while carry and i >= 0:
+                eps, t = stack[i]
+                mod, other = (m, n) if eps == 1 else (n, m)
+                carry, r = divmod(t + carry, mod)
+                carry *= other
+                stack[i] = (eps, r)
+                i -= 1
+            t0 += carry
+        elif g == a:
+            sign = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                if stack and stack[-1] == (-sign, 0):
+                    stack.pop()
+                else:
+                    stack.append((sign, 0))
+        else:
+            raise ValueError(f"letter {g} outside the two-letter BS alphabet")
+    return t0, tuple(stack)

@@ -136,11 +136,18 @@ def test_cayley_ball_labels_are_distinct_keys(bs_setup):
 
 
 class CountingEngine(FinitePermutationEngine):
+    """Counts the calls of the functions its stepper returns."""
+
     steps = 0
 
-    def step(self, key, w):
-        self.steps += 1
-        return super().step(key, w)
+    def stepper(self, w):
+        inner = super().stepper(w)
+
+        def counted(key):
+            self.steps += 1
+            return inner(key)
+
+        return counted
 
 
 @pytest.mark.parametrize("radius", range(5))
@@ -150,7 +157,7 @@ def test_cayley_ball_multiplies_once_per_vertex_and_letter(radius):
         engine, [parse_word(t, engine.alphabet) for t in ("a", "a^-1", "b", "b^-1")]
     )
     ball = cayley_ball(engine, genset, radius)
-    # The product of a vertex and a letter is one engine step on its key.
+    # The product of a vertex and a letter is one stepper call on its key.
     assert engine.steps == ball.vertex_count * len(genset)
     want = two_pass_cayley_ball(engine, genset, radius)
     assert (ball.dist, ball.edges, ball.element_labels) == (

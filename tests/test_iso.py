@@ -1,6 +1,7 @@
 """Rooted isomorphism search, automorphism scan, and canonical keys,
 cross-checked against brute-force enumeration on a seeded corpus."""
 
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from lml.words import (
     S10_TEXTS,
     BaumslagSolitarEngine,
     FreeAbelianEngine,
+    bs_s10_setup,
     parse_word,
     validate_genset,
 )
@@ -224,8 +226,6 @@ def test_scan_large_symmetric_ball_stays_cheap():
     star = RootedBall(
         19, 1, (0,) + (1,) * 18, tuple((0, v) for v in range(1, 19))
     )
-    import math
-
     assert automorphism_scan(star, -1)[0] == math.factorial(18)
 
 
@@ -265,6 +265,36 @@ def test_scan_matches_forced_prefix_oracle_on_corpus():
     )
     for ball in (swaps, twins):
         assert_scan_matches_oracle(ball, (0, 1, 2))
+
+
+def with_planted_twins(ball, rng, copies):
+    """ball plus copies of random non-root vertices, each with the same
+    neighbors as its original (and sometimes adjacent to it), renumbered
+    by breadth-first search from the root."""
+    n, edges = ball.vertex_count, list(ball.edges)
+    adjacency = [set(nbrs) for nbrs in ball.adjacency]
+    for new in range(n, n + copies):
+        v = rng.randrange(1, new)
+        nbrs = set(adjacency[v]) | ({v} if rng.random() < 0.5 else set())
+        adjacency.append(nbrs)
+        for u in nbrs:
+            adjacency[u].add(new)
+            edges.append((u, new))
+    graph = FiniteGraph(n + copies, tuple(edges))
+    return finite_ball(graph, 0, ball.radius)
+
+
+def test_scan_matches_forced_prefix_oracle_with_planted_twins():
+    # The inner radii run from below to above every twin's distance, so
+    # twin swaps are counted both where a witness is still wanted and
+    # where it is not.
+    rng = random.Random(7117)
+    for _ in range(120):
+        b = random_ball(rng, rng.randrange(2, 9), radius=rng.randrange(1, 4))
+        if b.vertex_count < 2:
+            continue
+        planted = with_planted_twins(b, rng, rng.randrange(1, 4))
+        assert_scan_matches_oracle(planted, range(-1, planted.radius + 1))
 
 
 def test_scan_matches_forced_prefix_oracle_on_group_balls(group_fixture):
@@ -535,3 +565,47 @@ def test_bs_ball_scan_sentinels(bs_setup):
     assert count == 2**20
     assert witness is not None
     assert any(witness.mapping[v] != v for v, d in enumerate(b2.dist) if d <= 2)
+
+
+# ---------------------------------------------------------------------------
+# work counters: probe searches per scan
+
+
+def count_probes(monkeypatch):
+    probes = []
+    search = iso._search
+
+    def counting(*args, **kwargs):
+        if kwargs.get("probe"):
+            probes.append(kwargs["probe"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(iso, "_search", counting)
+    return probes
+
+
+# Probes that the scan of fixing_radius(r=2) makes on the s10 balls; each
+# twin swap past the first witness used to cost one more (25, 162, 17, 59).
+@pytest.mark.parametrize("m, n, radius, want", [
+    (9, 10, 2, 8), (9, 10, 3, 42), (3, 5, 2, 6), (3, 5, 3, 5),
+])
+def test_scan_counts_twin_swaps_without_probes(monkeypatch, m, n, radius, want):
+    engine, genset, _ = bs_s10_setup(m, n)
+    ball = cayley_ball(engine, genset, radius)
+    probes = count_probes(monkeypatch)
+    automorphism_scan(ball, 2)
+    assert len(probes) == want
+
+
+@pytest.mark.parametrize("inner, want", [(-1, 0), (1, 1)])
+def test_star_leaves_are_twin_swaps(monkeypatch, inner, want):
+    # The 18 leaves are pairwise twins: 153 probes before, now none, or
+    # one for the witness when the leaves lie inside the inner radius.
+    star = RootedBall(
+        19, 1, (0,) + (1,) * 18, tuple((0, v) for v in range(1, 19))
+    )
+    probes = count_probes(monkeypatch)
+    count, witness = automorphism_scan(star, inner)
+    assert count == math.factorial(18)
+    assert len(probes) == want
+    assert (witness is None) == (inner < 1)

@@ -1,8 +1,11 @@
 """Property tests (hypothesis) of the incremental Britton step, the
-canonical relabelling of quotient images, and coset enumeration.
+engines' steppers, the canonical relabelling of quotient images, and
+coset enumeration.
 
 The pinch-rewriting oracle in tests/oracles.py shares no code with the
 package, so u*s*label^-1 being trivial under it checks each step exactly.
+The compiled Britton rules are checked against the one-loop step they
+replaced, and the permutation stepper against one composition.
 The relabelling is checked against the k! loop it replaced, todd_coxeter's
 index against sympy's coset enumeration, its whole table against the
 list-of-lists enumeration it replaced, and the low-index search against
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_least_conjugate,
     find_on_read_todd_coxeter,
+    loop_britton_step,
     pinch_identity,
     rescanning_low_index,
 )
@@ -30,10 +34,12 @@ from lml.cosets import (
 )
 from lml.words import (
     BaumslagSolitarEngine,
+    FinitePermutationEngine,
     Presentation,
     ResourceLimitError,
     britton_normal_form,
     concat,
+    _perm_compose,
     invert,
     word,
 )
@@ -59,6 +65,48 @@ def test_step_is_the_product(params, u, s):
     assert pinch_identity(concat(concat(u, s), invert(label)).letters, m, n)
     for eps, t in syllables:
         assert 0 <= t < (m if eps == 1 else n)
+
+
+# Exponents up to 7 against residues below 6, so a carry can cross
+# several syllables and reach t0.
+wide_words = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(-7, 7).filter(lambda e: e != 0)),
+    max_size=8,
+).map(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(-20, 20),
+       wide_words, wide_words)
+def test_stepper_matches_the_loop_step(m, n, t0, u, w):
+    engine = BaumslagSolitarEngine(m, n)
+    key = loop_britton_step((t0, ()), u, m, n)
+    want = loop_britton_step(key, w, m, n)
+    assert engine.stepper(w)(key) == want
+    assert engine.step(key, w) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), wide_words, wide_words,
+       st.integers(2, 5))
+def test_stepper_rejects_letters_outside_the_alphabet(m, n, u, v, g):
+    engine = BaumslagSolitarEngine(m, n)
+    bad = word(u.letters + ((g, 1),) + v.letters)
+    with pytest.raises(ValueError):
+        engine.stepper(bad)((0, ()))
+    with pytest.raises(ValueError):
+        engine.step((0, ()), bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 7), wide_words, wide_words)
+def test_permutation_stepper_is_one_composition(data, k, u, w):
+    images = [data.draw(st.permutations(range(k))) for _ in range(2)]
+    engine = FinitePermutationEngine(("a", "b"), images)
+    key = engine.key(u)
+    want = _perm_compose(key, engine.permutation(w))
+    assert engine.stepper(w)(key) == want
+    assert engine.step(key, w) == want
 
 
 @settings(max_examples=300, deadline=None)
