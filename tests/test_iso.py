@@ -1,6 +1,7 @@
 """Rooted isomorphism search, automorphism scan, and canonical keys,
 cross-checked against brute-force enumeration on a seeded corpus."""
 
+import hashlib
 import math
 import random
 
@@ -341,6 +342,27 @@ def test_canonical_key_relabel_invariance():
 
 def test_canonical_key_of_empty_ball():
     assert canonical_key(RootedBall(0, 0, (), ())) == b"n=0"
+
+
+# sha256 of canonical_key of the rigid group balls, whose refinement ends
+# with every color a single vertex.  F21 has diameter 2, so its 3-ball is
+# its 2-ball.
+GROUP_BALL_KEYS = {
+    ("S4", 2): "b0b0d63d75ed399ee6fbfce6226df66e70509a8487b08a05b1df05bbfdfdabc6",
+    ("S4", 3): "5b39cf5d2e4941e6e5144f878027b86de4b2a7ba6a7ab5a6fae00f1d3e6d8170",
+    ("F21", 2): "de71acc4773eaa3fc496500623820591e7af2173bca0feae6e24b50aa0511658",
+    ("F21", 3): "de71acc4773eaa3fc496500623820591e7af2173bca0feae6e24b50aa0511658",
+    ("F42", 2): "88362b17a09705e8081cdadc769aeaf23247cf37ee98fe85065df6f53c8113ee",
+    ("F42", 3): "02a0ce5d66a6097f0c694c0a9c28e614b86636aa6da6517c88a6f945fa63c67a",
+}
+
+
+@pytest.mark.parametrize("radius", (2, 3))
+def test_group_ball_keys_are_pinned(group_fixture, radius):
+    fx = group_fixture
+    ball = cayley_ball(fx.engine(), fx.genset(), radius)
+    digest = hashlib.sha256(canonical_key(ball)).hexdigest()
+    assert digest == GROUP_BALL_KEYS[(fx.name, radius)]
 
 
 # ---------------------------------------------------------------------------
