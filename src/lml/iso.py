@@ -2,7 +2,8 @@
 
 Rooted isomorphisms preserve the root and therefore distance from it, so
 the search only ever matches vertices of equal refined color, where colors
-start at (distance, degree) and are refined by neighbor color multisets.
+start at (distance, degree) and are refined by neighbor color multisets
+until a round splits no color or leaves every color a single vertex.
 The searches and canonical_key take a ball or its PreparedBall.  A search
 refines its source in prepare's like mode, by lookups in the prepared
 target's code tables: that gives the source's own colors exactly, or
@@ -107,7 +108,8 @@ def _refine(dist, nbrs, like=None):
             (code, powers), last = like.tables[i], i + 1 == len(rounds)
         else:
             rounds.append(tuple(sorted(set(sigs))))
-            last = i > 0 and len(rounds[i]) == len(rounds[i - 1])
+            last = len(rounds[i]) == len(sigs) or (
+                i > 0 and len(rounds[i]) == len(rounds[i - 1]))
             code = {s: c for c, s in enumerate(rounds[i])}
         try:
             colors = list(map(code.__getitem__, sigs))
@@ -130,7 +132,8 @@ def prepare(ball, like=None):
 
     Codes are ranked by sorted signature each round, so isomorphic balls
     get identical codes without being refined together; a round that
-    splits no color (its codes are the old colors) ends the refinement.
+    splits no color (its codes are the old colors), or that leaves every
+    color a single vertex, ends the refinement.
     With like, a PreparedBall, each of like's rounds, the last included,
     looks the signatures up in like's table instead: None if one is
     missing or the final cell sizes differ, else prepare(ball) exactly.

@@ -89,19 +89,32 @@ def vertex_witnesses(graph, target, radius):
     does not match.  A ball stays the lists of one breadth-first search
     over graph.adjacency (cached on graph, so pass a private copy): it is
     refined like the target, searched and checked with no ball object.
+    When every color of the target is a single vertex, the witness is read
+    off the ball's colors, color c to c's vertex, with no search: it is the
+    only candidate, and _check_iso decides whether it is an isomorphism.
     """
     adjacency, n = graph.adjacency.__getitem__, graph.vertex_count
+    cells = target.cells
+    single = [cell[0] for cell in cells] if all(len(c) == 1 for c in cells) else None
     for v in range(n):
         order, dist, nbrs = _grow(v, adjacency, radius, n)
         refined = _refine(dist, nbrs, like=target)
-        found = refined and _search(refined[0], nbrs, target, True)
+        if refined and single:
+            found = [tuple(map(single.__getitem__, refined[0]))]
+            try:
+                _check_iso(dist, nbrs, target.ball, found[0])
+            except ValueError:
+                found = None
+        else:
+            found = refined and _search(refined[0], nbrs, target, True)
+            if found:
+                _check_iso(dist, nbrs, target.ball, found[0])
         if not found:
             raise NotAModelError((
                 v,
                 f"ball at vertex {v} is not rooted-isomorphic to the "
                 f"radius-{radius} ball at the identity",
             ))
-        _check_iso(dist, nbrs, target.ball, found[0])
         yield v, order, found[0]
 
 

@@ -21,7 +21,7 @@ from .balls import (
 )
 from .iso import automorphism_scan, prepare, rooted_isomorphisms
 from .localmodel import NotAModelError, vertex_witnesses
-from .words import LmlError, Word, _word_permutation, concat, invert, word
+from .words import LmlError, Word, _word_permutation, concat, free_reduce, invert, word
 
 # Two isomorphisms onto the identity ball that differ within this distance
 # make the labeling ambiguous.  Labels come off the 1-sphere; 2 also pins
@@ -225,8 +225,8 @@ def present_on_S(presentation, genset, engine,
     s that is not itself a base generator or its inverse, plus every
     presentation relator rewritten over the base letters.  Also returns
     r' = the largest distance from the identity reached by any prefix of
-    any relator, evaluated in Cay(engine, S) with each distance search
-    capped at max_vertices explored elements.
+    any relator, evaluated in Cay(engine, S) with one distance search per
+    distinct prefix element, each capped at max_vertices explored elements.
     """
     base = {}
     for g in range(len(presentation.generators)):
@@ -255,15 +255,16 @@ def present_on_S(presentation, genset, engine,
     for rel in presentation.relators:
         relators.append(word(over_base(rel)))
 
-    r_prime = 0
+    r_prime, seen = 0, set()
     for rel in relators:
         acc = word()
         for i, e in rel.letters:
             for _ in range(e):
                 acc = concat(acc, genset.words[i])
-                d = distance(engine, genset, acc, max_vertices)
-                if d > r_prime:
-                    r_prime = d
+                k = engine.key(acc)
+                if k not in seen:
+                    seen.add(k)
+                    r_prime = max(r_prime, distance(engine, genset, acc, max_vertices))
     return relators, r_prime
 
 
@@ -305,27 +306,29 @@ def stabilizer(action, v, genset):
     reduced, with empties and exact duplicates dropped.
     """
     n = action.vertex_count
-    path = [None] * n
-    path[v] = word()
+    letters = [s.letters for s in genset.words]
+    path, back = [None] * n, [None] * n  # reduced letter tuples, inverses
+    path[v] = back[v] = ()
     order = [v]
     tree = set()
     qi = 0
     while qi < len(order):
         u = order[qi]
         qi += 1
-        for i, s in enumerate(genset.words):
+        for i, s in enumerate(letters):
             t = action.sigma[i][u]
             if path[t] is None:
-                path[t] = concat(path[u], s)
+                path[t] = free_reduce(path[u] + s).letters
+                back[t] = invert(Word(path[t])).letters
                 tree.add((u, i))
                 order.append(t)
     gens = []
     seen = set()
     for u in order:
-        for i, s in enumerate(genset.words):
+        for i, s in enumerate(letters):
             if (u, i) in tree:
                 continue
-            g = concat(concat(path[u], s), invert(path[action.sigma[i][u]]))
+            g = free_reduce(path[u] + s + back[action.sigma[i][u]])
             if g.letters and g.letters not in seen:
                 seen.add(g.letters)
                 gens.append(g)

@@ -259,15 +259,21 @@ def _a_rule(sign):
     return rule
 
 
+_A_RULES = {1: _a_rule(1), -1: _a_rule(-1)}
+
+
 def britton_stepper(w, m, n, a=0, b=1):
     """key -> key times w on the (t0, syllables) keys of BS(m, n), built
-    once: one Britton rule per b-letter and per a^(+-1), each on the tail."""
-    rules = []
+    once: one Britton rule per b-letter and per a^(+-1), each on the tail.
+    The two a-rules are shared, and a word builds one b-rule per exponent."""
+    rules, b_rules = [], {}
     for g, e in w.letters:
         if g == b:
-            rules.append(_b_rule(e, m, n))
+            if e not in b_rules:
+                b_rules[e] = _b_rule(e, m, n)
+            rules.append(b_rules[e])
         elif g == a:
-            rules.extend([_a_rule(1 if e > 0 else -1)] * abs(e))
+            rules.extend([_A_RULES[1 if e > 0 else -1]] * abs(e))
         else:
             raise ValueError(f"letter {g} outside the two-letter BS alphabet")
 

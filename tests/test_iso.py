@@ -365,6 +365,15 @@ def test_group_ball_keys_are_pinned(group_fixture, radius):
     assert digest == GROUP_BALL_KEYS[(fx.name, radius)]
 
 
+def test_refinement_stops_at_a_discrete_round():
+    # The S4 2-ball's signature counts run 4, 10, 14: the third round
+    # leaves every color a single vertex, so no fourth round confirms it.
+    fx = next(f for f in ROUND_TRIP_FIXTURES if f.name == "S4")
+    p = prepare(cayley_ball(fx.engine(), fx.genset(), 2))
+    assert [len(sigs) for sigs in p.profile[0]] == [4, 10, 14]
+    assert p.profile[1] == (1,) * 14
+
+
 # ---------------------------------------------------------------------------
 # lattice quotients look locally like the lattice
 

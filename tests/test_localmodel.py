@@ -216,9 +216,19 @@ def assert_walk_matches_oracle(graph, target, radius):
     return rejection is None
 
 
+def is_discrete(target):
+    return all(len(cell) == 1 for cell in target.cells)
+
+
+def swapped(graph, old, new):
+    """graph with the edges old replaced by the edges new."""
+    edges = (set(graph.edges) - set(old)) | set(new)
+    return FiniteGraph(graph.vertex_count, tuple(sorted(edges)))
+
+
 def test_walk_matches_oracle_on_random_graphs():
     rng = random.Random(31337)
-    seen = set()
+    seen, discrete = set(), []
     for _ in range(40):
         n = rng.randrange(4, 13)
         p = rng.choice((0.2, 0.35, 0.5))
@@ -228,8 +238,27 @@ def test_walk_matches_oracle_on_random_graphs():
         radius = rng.randrange(1, 4)
         # The ball at vertex 0 matches itself, so both verdicts show up.
         target = prepare(finite_ball(graph, rng.choice((0, n - 1)), radius))
-        seen.add(assert_walk_matches_oracle(graph, target, radius))
+        seen.add(verdict := assert_walk_matches_oracle(graph, target, radius))
+        if is_discrete(target):
+            discrete.append(verdict)
     assert seen == {True, False}
+    # Random graphs almost never accept a discrete target.  The rigid
+    # group balls are discrete, and accept on their relabelled Cayley
+    # graphs; half the time two random edges are swapped first.
+    for _ in range(12):
+        fx = rng.choice(ROUND_TRIP_FIXTURES)
+        engine, genset = fx.engine(), fx.genset()
+        whole = cayley_ball(engine, genset, 10)
+        graph = FiniteGraph(whole.vertex_count, whole.edges)
+        (a, b), (c, d) = rng.sample(graph.edges, 2)
+        new = (tuple(sorted((a, d))), tuple(sorted((b, c))))
+        if rng.random() < 0.5 and len({a, b, c, d}) == 4 and not set(new) & set(graph.edges):
+            graph = swapped(graph, ((a, b), (c, d)), new)
+        radius = rng.choice((2, 3))
+        target = prepare(cayley_ball(engine, genset, radius))
+        assert is_discrete(target)
+        discrete.append(assert_walk_matches_oracle(relabeled(graph, rng), target, radius))
+    assert set(discrete) == {True, False}
 
 
 def test_walk_rejects_a_degree_the_target_lacks():
@@ -255,6 +284,26 @@ def test_walk_matches_oracle_on_lattice_quotients(z2_setup):
             graph = relabeled(graph, rng)
             seen.add(assert_walk_matches_oracle(graph, target, radius))
     assert seen == {True, False}
+
+
+# Two edges of each rigid group 2-ball whose swap keeps every color of the
+# discrete target: like-mode refinement passes, and _check_iso rejects.
+COLOR_BLIND_SWAPS = {
+    "S4": (((1, 7), (3, 9)), ((1, 9), (3, 7))),
+    "F21": (((5, 6), (7, 8)), ((5, 7), (6, 8))),
+    "F42": (((7, 20), (8, 18)), ((7, 8), (18, 20))),
+}
+
+
+@pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda fx: fx.name)
+def test_walk_rejects_a_ball_the_discrete_colors_pass(fx):
+    ball = cayley_ball(fx.engine(), fx.genset(), 2)
+    target = prepare(ball)
+    graph = swapped(ball, *COLOR_BLIND_SWAPS[fx.name])
+    assert is_discrete(target)
+    assert prepare(finite_ball(graph, 0, 2), like=target) is not None
+    assert not assert_walk_matches_oracle(graph, target, 2)
+    assert per_vertex_witnesses(graph, target, 2)[1][0] == 0
 
 
 @pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda fx: fx.name)

@@ -87,6 +87,16 @@ def test_stepper_matches_the_loop_step(m, n, t0, u, w):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(-20, 20),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(-7, 7)),
+                min_size=40, max_size=400).map(word))
+def test_stepper_matches_the_loop_step_on_long_words(m, n, t0, w):
+    # A long word applies each of its b-rules and both a-rules many times.
+    engine = BaumslagSolitarEngine(m, n)
+    assert engine.stepper(w)((t0, ())) == loop_britton_step((t0, ()), w, m, n)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), wide_words, wide_words,
        st.integers(2, 5))
 def test_stepper_rejects_letters_outside_the_alphabet(m, n, u, v, g):

@@ -210,6 +210,29 @@ def test_present_on_s_caps_each_distance_search(monkeypatch):
         present_on_S(fx.presentation(), fx.genset(), fx.engine(), 2)
 
 
+@pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda fx: fx.name)
+def test_present_on_s_searches_each_prefix_element_once(fx, monkeypatch):
+    engine, genset = fx.engine(), fx.genset()
+    searched = []
+    original = balls.distance
+
+    def spy(engine, genset, g, max_explored=balls.DEFAULT_MAX_VERTICES):
+        searched.append(engine.key(g))
+        return original(engine, genset, g, max_explored)
+
+    monkeypatch.setattr(sys.modules["lml.reconstruct"], "distance", spy)
+    relators, r_prime = present_on_S(fx.presentation(), genset, engine)
+    prefixes = []
+    for rel in relators:
+        letters = [genset.words[i] for i, e in rel.letters for _ in range(e)]
+        prefixes += [word(sum((w.letters for w in letters[:j]), ()))
+                     for j in range(1, len(letters) + 1)]
+    keys = list(dict.fromkeys(engine.key(p) for p in prefixes))
+    assert searched == keys
+    assert len(keys) < len(prefixes)
+    assert r_prime == max(original(engine, genset, p) for p in prefixes)
+
+
 def test_present_on_s_missing_base_letter(z2_setup):
     engine, _, presentation = z2_setup
     thin = validate_genset(
