@@ -68,6 +68,25 @@ ARGV_CASES = {
         "distance", "--engine", "bs", "--preset", "s10",
         "--word", "a b a^-1 b a b^-1 a^-1 b^-1",
     ),
+    # Carries across several syllables and into t0, and the m = 1 and
+    # m = n edge cases of the Britton residues.
+    "ball:bs-2-3-radius4": (
+        "ball", "--engine", "bs", "--m", "2", "--n", "3", "--radius", "4",
+    ),
+    "ball:bs-1-5-s10-radius3": (
+        "ball", "--engine", "bs", "--m", "1", "--n", "5", "--preset", "s10",
+        "--radius", "3",
+    ),
+    "ball:bs-4-4-s10-radius3": (
+        "ball", "--engine", "bs", "--m", "4", "--n", "4", "--preset", "s10",
+        "--radius", "3",
+    ),
+    "r0:bs-4-4-s10-r1-bound3": (
+        "r0", "--m", "4", "--n", "4", "--preset", "s10", "--r", "1", "--bound", "3",
+    ),
+    "distance:bs-2-3-b-40": (
+        "distance", "--engine", "bs", "--m", "2", "--n", "3", "--word", "b^-40",
+    ),
 }
 
 GOLDEN = {
@@ -100,6 +119,21 @@ GOLDEN = {
     ),
     "distance:bs-s10-d6": (
         0, "7de27202839ec41507ea0ee17fab887d3ea14bb8570b889d77ef3e8c3321a3c1"
+    ),
+    "ball:bs-2-3-radius4": (
+        0, "2fc216a7810e9c7ed7d6e02e4d7a1d0df3223780d82f606e80e6956c7c371985"
+    ),
+    "ball:bs-1-5-s10-radius3": (
+        0, "95ad88817fc26299d3b7a7dd674682b7580e8a0416d77d74c273ad418d6a981f"
+    ),
+    "ball:bs-4-4-s10-radius3": (
+        0, "474a91564bf6c1491bc2f8b148ad2e1e03d6ac1cb03b07d9618c9591f3a7d66f"
+    ),
+    "r0:bs-4-4-s10-r1-bound3": (
+        0, "18cbbe72e951a17ec430e073b8be45fdd85ed2dc96f8ed0046be1c1025150e69"
+    ),
+    "distance:bs-2-3-b-40": (
+        0, "ba4e81a70afe959c9fb72ffa62d48640f9ce3b6311064096e5c1e24cc05bde31"
     ),
     "reconstruct:S4-r2": (
         0, "0820d8c6ae2a25e25d2c74f0e6a17fd7cb9fedb1b7743cd0851cab4111559a5f"

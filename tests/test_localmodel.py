@@ -16,7 +16,7 @@ from lml.localmodel import (
     vertex_witnesses,
     verify_model,
 )
-from lml.words import ResourceLimitError
+from lml.words import ResourceLimitError, bs_s10_setup
 
 
 def two_hexagons():
@@ -395,15 +395,29 @@ def test_fixing_radius_bs_concrete(bs_setup):
     assert any(mapping[v] != v for v, d in enumerate(ball.dist) if d <= 2)
 
 
-def test_fixing_radius_bs_from_radius_three(bs_setup):
+# The r0 column over small (m, n): the s10 3-ball's size, and the
+# log2 automorphism counts of the s10 3- and 4-balls.
+BS_FROM_RADIUS_THREE = (
+    (2, 3, 457, 30, 133),
+    (3, 4, 421, 33, 169),
+    (3, 5, 487, 55, 324),
+    (4, 5, 477, 35, 195),
+    (5, 6, 517, 101, 562),
+    (9, 10, 527, 132, 843),
+)
+
+
+@pytest.mark.parametrize("m, n, size, log3, log4", BS_FROM_RADIUS_THREE)
+def test_fixing_radius_bs_from_radius_three(m, n, size, log3, log4):
     # The 3-ball needs the 4-ball to pin it: r0(r=3) = 4 on the s10 set.
-    engine, genset, _ = bs_setup
+    engine, genset, _ = bs_s10_setup(m, n)
+    ball = cayley_ball(engine, genset, 3)
+    assert ball.vertex_count == size
     report = fixing_radius(engine, genset, 3, 4)
     assert report.r0 == 4
-    assert report.automorphism_counts == ((3, 2**132), (4, 2**843))
+    assert report.automorphism_counts == ((3, 2**log3), (4, 2**log4))
     ((rho, mapping),) = report.moving_witnesses
     assert rho == 3
-    ball = cayley_ball(engine, genset, 3)
     RootedIso(ball, ball, mapping).validate()
     assert any(mapping[v] != v for v, d in enumerate(ball.dist) if d <= 3)
 
