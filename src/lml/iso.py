@@ -102,7 +102,6 @@ def _refine(dist, nbrs, like=None):
     """prepare's (colors, profile), or None, for a ball given as lists."""
     sigs = list(zip(dist, map(len, nbrs)))
     rounds = like.profile[0] if like else []
-    multiset = sum if like else lambda codes: tuple(sorted(codes))
     for i in count():
         if like:
             (code, powers), last = like.tables[i], i + 1 == len(rounds)
@@ -118,7 +117,8 @@ def _refine(dist, nbrs, like=None):
         if last:
             break
         keys = list(map(powers.__getitem__, colors)) if like else colors
-        sigs = list(zip(colors, map(multiset, map(map, repeat(keys.__getitem__), nbrs))))
+        codes = map(map, repeat(keys.__getitem__), nbrs)
+        sigs = list(zip(colors, map(sum, codes) if like else map(tuple, map(sorted, codes))))
     sizes = [0] * len(rounds[-1])
     for c in colors:
         sizes[c] += 1

@@ -222,73 +222,84 @@ class BrittonForm:
         return word(pairs)
 
 
-def _b_rule(e, m, n):
-    """t0 after b^e on (t0, stack): add e to the last residue, carry left."""
-
-    def rule(t0, stack):
-        if stack:
-            eps, t = stack[-1]
-            if 0 <= t + e < (m if eps == 1 else n):  # no carry
-                stack[-1] = (eps, t + e)
-                return t0
-        carry = e
-        for i in range(len(stack) - 1, -1, -1):
-            eps, t = stack[i]
-            mod, other = (m, n) if eps == 1 else (n, m)
-            carry, r = divmod(t + carry, mod)
-            stack[i] = (eps, r)
-            if not carry:
-                return t0
-            carry *= other
-        return t0 + carry
-
-    return rule
-
-
-def _a_rule(sign):
-    """t0 after a^sign on (t0, stack): pinch (-sign, 0) or push (sign, 0)."""
-    pinch, push = (-sign, 0), (sign, 0)
-
-    def rule(t0, stack):
-        if stack and stack[-1] == pinch:
-            stack.pop()
-        else:
-            stack.append(push)
-        return t0
-
-    return rule
-
-
-_A_RULES = {1: _a_rule(1), -1: _a_rule(-1)}
+def _syllables(code, m, n):
+    """The ((eps, t), ...) stack a packed BS(m, n) code stands for."""
+    bits = (m + n).bit_length()
+    text = f"{code:b}" if code else ""
+    text = text.zfill(len(text) + -len(text) % bits)
+    digits = (int(text[i:i + bits], 2) for i in range(0, len(text), bits))
+    return tuple((1, d - 1) if d <= m else (-1, d - 1 - m) for d in digits)
 
 
 def britton_stepper(w, m, n, a=0, b=1):
-    """key -> key times w on the (t0, syllables) keys of BS(m, n), built
-    once: one Britton rule per b-letter and per a^(+-1), each on the tail.
-    The two a-rules are shared, and a word builds one b-rule per exponent."""
-    rules, b_rules = [], {}
+    """key -> key times w on the (t0, code) keys of BS(m, n), built once.
+
+    code packs the syllable stack, the top syllable in the low bits and
+    (m + n).bit_length() bits per syllable: digit 1 + t after a^+1 and
+    1 + m + t after a^-1, so code 0 is the empty stack.  A letter changes
+    only the top (Britton's lemma), so each b-letter and a^(+-1) is one
+    rule: b^e adds e when nothing carries, and else pops digits while the
+    carry runs, a carry past the bottom going into t0; a^(+-1) pinches
+    the top digit of (-+1, 0) with a shift down or pushes its own with a
+    shift up.  A word builds one b-rule per exponent, and a one-letter
+    word's stepper is its rule.  A step costs O(depth) on a deep stack.
+    """
+    bits = (m + n).bit_length()
+    mask = (1 << bits) - 1
+
+    def b_rule(e):
+        fits = tuple(1 <= d <= m and 1 <= d + e <= m
+                     or m < d and m < d + e <= m + n for d in range(m + n + 1))
+
+        def rule(key):
+            t0, code = key
+            if fits[code & mask]:
+                return t0, code + e
+            carry, low, shift = e, 0, 0
+            while code:
+                d = code & mask
+                code >>= bits
+                base, mod, other = (1, m, n) if d <= m else (1 + m, n, m)
+                carry, r = divmod(d - base + carry, mod)
+                low |= (base + r) << shift
+                shift += bits
+                if not carry:
+                    break
+                carry *= other
+            else:
+                t0 += carry
+            return t0, code << shift | low
+
+        return rule
+
+    def a_rule(pinch, push):
+        def rule(key):
+            t0, code = key
+            if code & mask == pinch:
+                return t0, code >> bits
+            return t0, code << bits | push
+
+        return rule
+
+    a_rules = {1: a_rule(1 + m, 1), -1: a_rule(1, 1 + m)}
+    b_rules = {e: b_rule(e) for g, e in w.letters if g == b}
+    rules = []
     for g, e in w.letters:
         if g == b:
-            if e not in b_rules:
-                b_rules[e] = _b_rule(e, m, n)
             rules.append(b_rules[e])
         elif g == a:
-            rules.extend([_A_RULES[1 if e > 0 else -1]] * abs(e))
+            rules.extend([a_rules[1 if e > 0 else -1]] * abs(e))
         else:
             raise ValueError(f"letter {g} outside the two-letter BS alphabet")
+    if len(rules) == 1:
+        return rules[0]
 
     def stepper(key):
-        t0, stack = key[0], list(key[1])
         for rule in rules:
-            t0 = rule(t0, stack)
-        return t0, tuple(stack)
+            key = rule(key)
+        return key
 
     return stepper
-
-
-def britton_step(key, w, m, n, a=0, b=1):
-    """The (t0, syllables) key of the form `key` times w, rule by rule."""
-    return britton_stepper(w, m, n, a, b)(key)
 
 
 def _check_bs(m, n):
@@ -297,9 +308,11 @@ def _check_bs(m, n):
 
 
 def britton_normal_form(w, m, n, a=0, b=1):
-    """Britton-reduce and canonicalize a word over {a, b} in BS(m, n)."""
+    """Britton-reduce and canonicalize a word over {a, b} in BS(m, n): the
+    packed key from the empty form, unpacked."""
     _check_bs(m, n)
-    return BrittonForm(m, n, *britton_step((0, ()), w, m, n, a, b))
+    t0, code = britton_stepper(w, m, n, a, b)((0, 0))
+    return BrittonForm(m, n, t0, _syllables(code, m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +323,13 @@ class GroupEngine:
     """Canonical forms, identity tests, and products for one group.
 
     key(w) is a hashable token of the element w names (the vertex identity
-    in ball constructions), label(key) is that element's normal-form Word,
-    and stepper(w) maps each key to the key of that element times w, so
-    ball searches run on keys alone: built once per word, it keeps no state
-    across calls, and step(key, w) is stepper(w)(key).  normal_form =
-    label . key is idempotent and constant on group-equal words.  Engines
-    are immutable after construction; any caching is semantically invisible.
+    in ball constructions; on BS(m, n) two ints, see britton_stepper),
+    label(key) is that element's normal-form Word, and stepper(w) maps each
+    key to the key of that element times w, so ball searches run on keys
+    alone: built once per word, it keeps no state across calls, and
+    step(key, w) is stepper(w)(key).  normal_form = label . key is
+    idempotent and constant on group-equal words.  Engines are immutable
+    after construction; any caching is semantically invisible.
     """
 
     alphabet = ()
@@ -380,7 +394,8 @@ class FreeAbelianEngine(GroupEngine):
 
 
 class BaumslagSolitarEngine(GroupEngine):
-    """BS(m, n) on the fixed two-letter alphabet (a, b)."""
+    """BS(m, n) on the fixed two-letter alphabet (a, b).  Keys are packed
+    (t0, code) pairs; label and britton unpack them to BrittonForms."""
 
     kind = "bs"
 
@@ -396,17 +411,17 @@ class BaumslagSolitarEngine(GroupEngine):
         return britton_normal_form(w, self.m, self.n)
 
     def key(self, w):
-        f = self.britton(w)
-        return (f.t0, f.syllables)
+        return self.stepper(w)((0, 0))
 
     def label(self, key):
-        return BrittonForm(self.m, self.n, *key).to_word()
+        syllables = _syllables(key[1], self.m, self.n)
+        return BrittonForm(self.m, self.n, key[0], syllables).to_word()
 
     def stepper(self, w):
         return britton_stepper(w, self.m, self.n)
 
     def is_identity(self, w):
-        return self.britton(w).is_identity()
+        return self.key(w) == (0, 0)
 
 
 def _perm_compose(p, q):

@@ -844,6 +844,21 @@ def rescanning_low_index(presentation, max_degree, max_nodes):
 # the Britton step as one loop over the letters of the word
 
 
+def unpack_bs_key(key, m, n):
+    """The (t0, syllables) form a packed BS(m, n) engine key names, read
+    from its layout: (m + n).bit_length() bits per syllable, the last
+    syllable lowest, digit 1 + t after a^+1 and 1 + m + t after a^-1."""
+    t0, code = key
+    width = 2 ** (m + n).bit_length()
+    syllables = []
+    while code > 0:
+        code, d = divmod(code, width)
+        assert 1 <= d <= m + n, d
+        syllables.insert(0, (1, d - 1) if d <= m else (-1, d - 1 - m))
+    assert code == 0
+    return t0, tuple(syllables)
+
+
 def loop_britton_step(key, w, m, n, a=0, b=1):
     """The (t0, syllables) key of the canonical form `key` times the word w.
 

@@ -4,8 +4,9 @@ coset enumeration.
 
 The pinch-rewriting oracle in tests/oracles.py shares no code with the
 package, so u*s*label^-1 being trivial under it checks each step exactly.
-The compiled Britton rules are checked against the one-loop step they
-replaced, and the permutation stepper against one composition.
+The packed Britton keys are unpacked by the oracle's own reading of
+their layout and checked against the one-loop step on lists, and the
+permutation stepper against one composition.
 The relabelling is checked against the k! loop it replaced, todd_coxeter's
 index against sympy's coset enumeration, its whole table against the
 list-of-lists enumeration it replaced, and the low-index search against
@@ -16,7 +17,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_least_conjugate,
@@ -24,6 +25,7 @@ from oracles import (
     loop_britton_step,
     pinch_identity,
     rescanning_low_index,
+    unpack_bs_key,
 )
 
 from lml.cosets import (
@@ -60,10 +62,10 @@ def words(max_len):
 def test_step_is_the_product(params, u, s):
     m, n = params
     engine = BaumslagSolitarEngine(m, n)
-    t0, syllables = key = engine.step(engine.key(u), s)
+    key = engine.step(engine.key(u), s)
     label = engine.label(key)
     assert pinch_identity(concat(concat(u, s), invert(label)).letters, m, n)
-    for eps, t in syllables:
+    for eps, t in unpack_bs_key(key, m, n)[1]:
         assert 0 <= t < (m if eps == 1 else n)
 
 
@@ -80,10 +82,12 @@ wide_words = st.lists(
        wide_words, wide_words)
 def test_stepper_matches_the_loop_step(m, n, t0, u, w):
     engine = BaumslagSolitarEngine(m, n)
-    key = loop_britton_step((t0, ()), u, m, n)
-    want = loop_britton_step(key, w, m, n)
-    assert engine.stepper(w)(key) == want
-    assert engine.step(key, w) == want
+    key = engine.key(word(((1, t0),) + u.letters))
+    form = loop_britton_step((t0, ()), u, m, n)
+    assert unpack_bs_key(key, m, n) == form
+    want = loop_britton_step(form, w, m, n)
+    assert unpack_bs_key(engine.stepper(w)(key), m, n) == want
+    assert unpack_bs_key(engine.step(key, w), m, n) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,7 +97,8 @@ def test_stepper_matches_the_loop_step(m, n, t0, u, w):
 def test_stepper_matches_the_loop_step_on_long_words(m, n, t0, w):
     # A long word applies each of its b-rules and both a-rules many times.
     engine = BaumslagSolitarEngine(m, n)
-    assert engine.stepper(w)((t0, ())) == loop_britton_step((t0, ()), w, m, n)
+    key = engine.stepper(w)(engine.key(word(((1, t0),))))
+    assert unpack_bs_key(key, m, n) == loop_britton_step((t0, ()), w, m, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,9 +108,35 @@ def test_stepper_rejects_letters_outside_the_alphabet(m, n, u, v, g):
     engine = BaumslagSolitarEngine(m, n)
     bad = word(u.letters + ((g, 1),) + v.letters)
     with pytest.raises(ValueError):
-        engine.stepper(bad)((0, ()))
+        engine.stepper(bad)(engine.key(u))
     with pytest.raises(ValueError):
-        engine.step((0, ()), bad)
+        engine.step(engine.key(u), bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PARAMS), wide_words)
+def test_label_round_trips_the_key(params, w):
+    m, n = params
+    engine = BaumslagSolitarEngine(m, n)
+    key = engine.key(w)
+    assert engine.key(engine.label(key)) == key
+    assert engine.label(key) == britton_normal_form(w, m, n).to_word()
+
+
+# a b^m = b^n a and a^-1 b^n = b^m a^-1: in each example the carry
+# into t0 makes two spellings one key, at m = 1 and at m = n too.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PARAMS), st.lists(wide_words, min_size=2, max_size=12))
+@example((2, 3), [word(((0, 1), (1, 2))), word(((1, 3), (0, 1)))])
+@example((1, 5), [word(((0, 1), (1, 1))), word(((1, 5), (0, 1)))])
+@example((4, 4), [word(((0, -1), (1, 9))), word(((1, 8), (0, -1), (1, 1)))])
+def test_keys_are_distinct_exactly_when_the_forms_are(params, ws):
+    m, n = params
+    engine = BaumslagSolitarEngine(m, n)
+    keys = [engine.key(w) for w in ws]
+    forms = [loop_britton_step((0, ()), w, m, n) for w in ws]
+    assert [unpack_bs_key(k, m, n) for k in keys] == forms
+    assert len(set(keys)) == len(set(forms))
 
 
 @settings(max_examples=200, deadline=None)
