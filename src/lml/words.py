@@ -228,7 +228,9 @@ def _syllables(code, m, n):
     text = f"{code:b}" if code else ""
     text = text.zfill(len(text) + -len(text) % bits)
     digits = (int(text[i:i + bits], 2) for i in range(0, len(text), bits))
-    return tuple((1, d - 1) if d <= m else (-1, d - 1 - m) for d in digits)
+    # From a list: tuple() of a generator starts at 10 slots and is resized,
+    # so the freed result lands on a tuple free list nothing draws from.
+    return tuple([(1, d - 1) if d <= m else (-1, d - 1 - m) for d in digits])
 
 
 def britton_stepper(w, m, n, a=0, b=1):
@@ -248,8 +250,10 @@ def britton_stepper(w, m, n, a=0, b=1):
     mask = (1 << bits) - 1
 
     def b_rule(e):
-        fits = tuple(1 <= d <= m and 1 <= d + e <= m
-                     or m < d and m < d + e <= m + n for d in range(m + n + 1))
+        fits = [  # a list, for the reason given in _syllables
+            1 <= d <= m and 1 <= d + e <= m or m < d and m < d + e <= m + n
+            for d in range(m + n + 1)
+        ]
 
         def rule(key):
             t0, code = key
