@@ -243,8 +243,8 @@ def britton_stepper(w, m, n, a=0, b=1):
     rule: b^e adds e when nothing carries, and else pops digits while the
     carry runs, a carry past the bottom going into t0; a^(+-1) pinches
     the top digit of (-+1, 0) with a shift down or pushes its own with a
-    shift up.  A word builds one b-rule per exponent, and a one-letter
-    word's stepper is its rule.  A step costs O(depth) on a deep stack.
+    shift up.  A word builds one b-rule per distinct exponent, a one-letter
+    word's stepper is its rule, and a step costs O(stack depth).
     """
     bits = (m + n).bit_length()
     mask = (1 << bits) - 1
@@ -286,7 +286,7 @@ def britton_stepper(w, m, n, a=0, b=1):
         return rule
 
     a_rules = {1: a_rule(1 + m, 1), -1: a_rule(1, 1 + m)}
-    b_rules = {e: b_rule(e) for g, e in w.letters if g == b}
+    b_rules = {e: b_rule(e) for e in {e for g, e in w.letters if g == b}}
     rules = []
     for g, e in w.letters:
         if g == b:
