@@ -81,7 +81,7 @@ class CosetTable:
 
     @cached_property
     def backward(self):
-        return tuple(_perm_inverse(col) for col in self.forward)
+        return tuple([_perm_inverse(col) for col in self.forward])
 
     def permutation(self, w):
         """The permutation of the cosets that w acts by: u -> u*w."""
@@ -214,12 +214,10 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
 
     live = [u for u in range(len(parent)) if parent[u] == u]
     renumber = {old: new for new, old in enumerate(live)}
-    forward = tuple(
-        tuple(renumber[table[u * ncols + 2 * g]] for u in live)
-        for g in range(ngen)
-    )
+    forward = tuple([tuple([renumber[table[u * ncols + 2 * g]] for u in live])
+                     for g in range(ngen)])
     for g, col in enumerate(forward):
-        back = tuple(renumber[table[u * ncols + 2 * g + 1]] for u in live)
+        back = tuple([renumber[table[u * ncols + 2 * g + 1]] for u in live])
         assert back == _perm_inverse(col), "inverse column mismatch"
     return CosetTable(tuple(presentation.generators), len(live), forward)
 
@@ -280,7 +278,7 @@ def schreier_from_table(table, genset):
     repeated pairs are dropped and counted.
     """
     n = table.cosets
-    action = SchreierGraph(n, tuple(table.permutation(s) for s in genset.words))
+    action = SchreierGraph(n, tuple([table.permutation(s) for s in genset.words]))
     graph = action.underlying_graph()
     loops = candidates = 0
     for i, col in enumerate(action.sigma):
@@ -339,7 +337,7 @@ def _least_conjugate(images, k):
             out.append(v)
         else:
             best = out
-    return tuple(tuple(best[i:i + k]) for i in range(0, total, k))
+    return tuple([tuple(best[i:i + k]) for i in range(0, total, k)])
 
 
 def _deduce(table, ncols, scans):
@@ -415,9 +413,8 @@ def _low_index(presentation, max_degree, max_nodes):
         while pos < n * ncols and table[pos] >= 0:
             pos += 1
         if pos == n * ncols:
-            found[n - 1].append(tuple(
-                tuple(table[2 * g:pos:ncols]) for g in range(ngen)
-            ))
+            found[n - 1].append(
+                tuple([tuple(table[2 * g:pos:ncols]) for g in range(ngen)]))
             continue
         c, x = divmod(pos, ncols)
         for d in range(min(n + 1, max_degree)):

@@ -12,12 +12,14 @@ by the sum of base**code over it, base one more than the target's top
 degree: exact, as round 0 has found every degree in the target, so every
 multiplicity is below base.  The vertex walk of localmodel runs _refine,
 _search and _check_iso on each ball's plain distance and neighbor lists,
-with no ball object.  Frames sit on explicit stacks.
+with no ball object.  _search walks the search tree of McKay and Piperno
+(2014) lazily: k sent after a yield cuts its stack to k frames, so the
+next yield is the lex-first map differing from the last on their vertices.
 
-A first-only automorphism search stops at identity completion: once the
-images of 0..j-1 are exactly {0..j-1} and each moved u < j (image not u)
-has its image adjacent to every neighbor w >= j of u, the identity on
-j..n-1 completes an automorphism.  It is the lex-first completion: then
+An automorphism probe stops at identity completion: once the images of
+0..j-1 are exactly {0..j-1} and each moved u < j (image not u) has its
+image adjacent to every neighbor w >= j of u, the identity on j..n-1
+completes an automorphism.  It is the lex-first completion: then
 j is the least unused candidate for j and passes the neighbor test, and
 so on up.  So an automorphism_scan probe costs about the vertices it moves,
 and a twin swap, once the scan wants no witness there, is counted with no
@@ -40,8 +42,7 @@ class RootedIso:
     mapping: tuple
 
     def validate(self):
-        b1 = self.source
-        _check_iso(b1.dist, b1.adjacency, self.target, self.mapping)
+        _check_iso(self.source.dist, self.source.adjacency, self.target, self.mapping)
         return self
 
 
@@ -147,22 +148,24 @@ def prepare(ball, like=None):
     return refined and PreparedBall(ball, *refined)
 
 
-def _search(colors, nbrs, p2, first_only, probe=None):
-    """Rooted isomorphisms onto p2, in lex order, from source colors and nbrs.
+def _search(colors, nbrs, p2, probe=None):
+    """Rooted isomorphisms onto p2, lazily in lex order, from source colors and nbrs.
 
     Source vertices are matched in stored (BFS) order, so every vertex
     after the root already has a mapped neighbor constraining it.  A probe
     (i, t) of an automorphism search of p2 starts at i, 0..i-1 fixed and t,
     of i's color, the one candidate for i.  A frame holds the candidates
     left, targets used, required neighbor images, and reach: one past the
-    highest neighbor of a moved vertex that misses its image.
+    highest neighbor of a moved vertex that misses its image.  send(k)
+    after a yield keeps the first k frames (module docstring).
     """
     n = len(colors)
     if n == 0:
-        return [()]
+        yield ()
+        return
     cells2, adj2 = p2.cells, p2.masks
     base, only = probe or (0, None)
-    mapping, found = list(range(n)), []
+    mapping = list(range(n))
     required = sum([1 << u for u in nbrs[base] if u < base])
     cands = (only,) if probe else cells2[colors[base]]
     stack = [(iter(cands), (1 << base) - 1, required, 0)]
@@ -181,23 +184,22 @@ def _search(colors, nbrs, p2, first_only, probe=None):
         if probe and t != v:
             reach = max(reach, (adj2[v] & ~adj2[t]).bit_length())
         if j == n or (probe and used.bit_length() == j and reach <= j):
-            found.append(tuple(mapping[:j]) + tuple(range(j, n)))
-            if first_only:
-                break
+            cut = yield tuple(mapping[:j]) + tuple(range(j, n))
+            if cut is not None:
+                del stack[cut:]
         else:
             required = 0
             for u in nbrs[j]:
                 if u < j:
                     required |= 1 << mapping[u]
             stack.append((iter(cells2[colors[j]]), used, required, reach))
-    return found
 
 
 def rooted_isomorphisms(b1, b2):
     """All rooted isomorphisms b1 -> b2, in deterministic (lex) order."""
     p2 = prepare(b2)
     p1 = prepare(b1, like=p2)
-    found = _search(p1.colors, p1.ball.adjacency, p2, False) if p1 else []
+    found = _search(p1.colors, p1.ball.adjacency, p2) if p1 else ()
     out = [RootedIso(p1.ball, p2.ball, m) for m in found]
     if out:
         out[0].validate()
@@ -208,8 +210,8 @@ def first_rooted_isomorphism(b1, b2):
     """One witness isomorphism, or None; early-exits the search."""
     p2 = prepare(b2)
     p1 = prepare(b1, like=p2)
-    res = _search(p1.colors, p1.ball.adjacency, p2, True) if p1 else None
-    return RootedIso(p1.ball, p2.ball, res[0]).validate() if res else None
+    res = next(_search(p1.colors, p1.ball.adjacency, p2), None) if p1 else None
+    return None if res is None else RootedIso(p1.ball, p2.ball, res).validate()
 
 
 def _twins(masks, u, v):
@@ -234,8 +236,6 @@ def automorphism_scan(ball, inner_radius):
     p = prepare(ball)
     ball = p.ball
     n = ball.vertex_count
-    if n == 0:
-        return 1, None
     dist = ball.dist
     if any(dist[v] > dist[v + 1] for v in range(n - 1)):
         # The chain argument below needs the inner ball to be a prefix.
@@ -251,11 +251,11 @@ def automorphism_scan(ball, inner_radius):
             if (witness or dist[i] > inner_radius) and _twins(masks, i, t):
                 orbit += 1
                 continue
-            res = _search(p.colors, ball.adjacency, p, True, probe=(i, t))
-            if res:
+            res = next(_search(p.colors, ball.adjacency, p, probe=(i, t)), None)
+            if res is not None:
                 orbit += 1
                 if witness is None and dist[i] <= inner_radius:
-                    witness = RootedIso(ball, ball, res[0]).validate()
+                    witness = RootedIso(ball, ball, res).validate()
         count *= orbit
     return count, witness
 

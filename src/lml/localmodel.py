@@ -100,22 +100,22 @@ def vertex_witnesses(graph, target, radius):
         order, dist, nbrs = _grow(v, adjacency, radius, n)
         refined = _refine(dist, nbrs, like=target)
         if refined and single:
-            found = [tuple(map(single.__getitem__, refined[0]))]
+            found = tuple(map(single.__getitem__, refined[0]))
             try:
-                _check_iso(dist, nbrs, target.ball, found[0])
+                _check_iso(dist, nbrs, target.ball, found)
             except ValueError:
                 found = None
         else:
-            found = refined and _search(refined[0], nbrs, target, True)
+            found = refined and next(_search(refined[0], nbrs, target), None)
             if found:
-                _check_iso(dist, nbrs, target.ball, found[0])
+                _check_iso(dist, nbrs, target.ball, found)
         if not found:
             raise NotAModelError((
                 v,
                 f"ball at vertex {v} is not rooted-isomorphic to the "
                 f"radius-{radius} ball at the identity",
             ))
-        yield v, order, found[0]
+        yield v, order, found
 
 
 def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .balls import (
     DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, finite_ball, is_connected,
 )
-from .iso import automorphism_scan, prepare, rooted_isomorphisms
+from .iso import RootedIso, _search, automorphism_scan, prepare
 from .localmodel import NotAModelError, vertex_witnesses
 from .words import LmlError, Word, _word_permutation, concat, free_reduce, invert, word
 
@@ -151,7 +151,8 @@ def label_edges(graph, engine, genset, radius,
     identity ball.  Two such isomorphisms differ by an automorphism of the
     identity ball, so one automorphism scan decides for every vertex
     whether they agree within LABEL_RADIUS; if not, vertex 0 is reported
-    as AmbiguousLabeling.  The reverse edge must carry the paired inverse
+    as AmbiguousLabeling, with the next map in lex order that moves the
+    LABEL_RADIUS ball.  The reverse edge must carry the paired inverse
     letter (LabelInconsistency otherwise).  The walk caches an adjacency
     on graph; reconstruct hands it a private copy.
     """
@@ -167,12 +168,14 @@ def label_edges(graph, engine, genset, radius,
         for x in range(1, graph.degree(v) + 1):
             labels[(v, order[x])] = mapping[x] - 1
     if automorphism_scan(target, LABEL_RADIUS)[1] is not None:
-        ball0 = finite_ball(graph, 0, radius)
-        ref, *rest = rooted_isomorphisms(ball0, target)
-        for phi in rest:
-            ambiguity = AmbiguousLabeling(0, ref, phi)
-            if ambiguity.disagreement() is not None:
-                return ambiguity
+        p0 = prepare(finite_ball(graph, 0, radius), like=target)
+        isos = _search(p0.colors, p0.ball.adjacency, target)
+        ref = RootedIso(p0.ball, target.ball, next(isos))
+        try:
+            second = isos.send(sum(d <= LABEL_RADIUS for d in p0.ball.dist))
+            return AmbiguousLabeling(0, ref, RootedIso(p0.ball, target.ball, second))
+        except StopIteration:
+            pass
     for (v, w), i in labels.items():
         back = labels[(w, v)]
         if back != genset.inverse_pairing[i]:
@@ -208,7 +211,7 @@ def build_action(graph, labeling, genset):
     for i in range(k):
         if sorted(sigma[i]) != list(range(n)):
             raise ValueError(f"sigma for letter {i} is not a bijection")
-    return SchreierGraph(n, tuple(tuple(col) for col in sigma))
+    return SchreierGraph(n, tuple([tuple(col) for col in sigma]))
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,20 @@ def enumerate_label_edges(graph, engine, genset, radius):
     )
 
 
+def second_by_enumeration(ball0, target, k):
+    """The lex-first rooted isomorphism ball0 -> target whose images of
+    vertices 0..k-1 differ from the lex-first one's, or None.
+
+    label_edges before its search could be cut: it lists every isomorphism
+    and filters the ones after the first.
+    """
+    ref, *rest = rooted_isomorphisms(ball0, target)
+    for phi in rest:
+        if phi.mapping[:k] != ref.mapping[:k]:
+            return phi.mapping
+    return None
+
+
 def oracle_reconstruct(graph, engine, genset, presentation, radius):
     """reconstruct as the package ran it before verifying and labeling in
     one walk: classify_verify_model, then enumerate_label_edges, then the

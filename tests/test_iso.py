@@ -11,11 +11,12 @@ from oracles import (
     brute_rooted_isomorphisms,
     forced_prefix_automorphism_scan,
     layered_rooted_isomorphisms,
+    second_by_enumeration,
 )
 
 from lml import iso
 from lml.balls import FiniteGraph, RootedBall, cayley_ball, finite_ball
-from lml.fixtures import fixture_klein, torus_grid
+from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.iso import (
     RootedIso,
     automorphism_scan,
@@ -28,6 +29,7 @@ from lml.words import (
     S10_TEXTS,
     BaumslagSolitarEngine,
     FreeAbelianEngine,
+    FreeEngine,
     bs_s10_setup,
     parse_word,
     validate_genset,
@@ -474,7 +476,7 @@ def test_vertex_ball_search_reads_no_source_masks():
     target = prepare(z2_ball(3))
     source = prepare(finite_ball(torus_grid(9, 9), 40, 3), like=target)
     assert source is not None
-    assert iso._search(source.colors, source.ball.adjacency, target, True)
+    assert next(iso._search(source.colors, source.ball.adjacency, target), None)
     assert "masks" not in vars(source) and "masks" in vars(target)
 
 
@@ -522,6 +524,62 @@ def test_searches_do_not_recurse_on_large_balls():
     assert key.startswith(b"n=1201;")
     assert canonical_key(relabeled_copy(path, random.Random(3))) == key
     assert automorphism_scan(path, 1)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# cutting the search back after a yield
+
+
+def free_ball(r):
+    """The radius-r ball of the 4-regular tree Cay(F2, {x, x^-1, y, y^-1})."""
+    eng = FreeEngine(("x", "y"))
+    gs = validate_genset(
+        eng, [parse_word(t, eng.alphabet) for t in ("x", "x^-1", "y", "y^-1")]
+    )
+    return cayley_ball(eng, gs, r)
+
+
+def cut_second(b1, b2, k):
+    """What the search yields after its first map once cut to k frames."""
+    p2 = prepare(b2)
+    p1 = prepare(b1, like=p2)
+    isos = iso._search(p1.colors, p1.ball.adjacency, p2)
+    next(isos)
+    try:
+        return isos.send(k)
+    except StopIteration:
+        return None
+
+
+def cut_cases():
+    rng = random.Random(2121)
+    for _ in range(60):
+        b = random_ball(rng, rng.randrange(2, 9), radius=9)
+        yield b, b
+        yield b, relabeled_copy(b, rng)
+    for r in (2, 3, 4):
+        yield z2_ball(r), relabeled_copy(z2_ball(r), rng)
+    yield finite_ball(cycle_graph(9), 0, 3), path_ball(3)
+    for r in (2, 3):
+        yield finite_ball(torus_grid(8, 8), 0, r), z2_ball(r)
+    yield finite_ball(fixture_klein(8, 6), 27, 2), z2_ball(2)
+    for m, n in ((9, 10), (2, 3), (3, 5)):
+        engine, genset, _ = bs_s10_setup(m, n)
+        b = cayley_ball(engine, genset, 1)
+        yield b, relabeled_copy(b, rng)
+    # 31,104 isomorphisms to list for every k.
+    yield free_ball(2), relabeled_copy(free_ball(2), rng)
+
+
+def test_cut_search_matches_list_and_filter():
+    cut = 0
+    for b1, b2 in cut_cases():
+        for k in range(1, b1.vertex_count + 1):
+            got = cut_second(b1, b2, k)
+            assert got == second_by_enumeration(b1, b2, k), (b1, k)
+            cut += got is not None and k < b1.vertex_count
+    # Cuts that skipped a subtree and still found a map.
+    assert cut > 100
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from conftest import ROUND_TRIP_FIXTURES
 from oracles import classify_verify_model, per_vertex_witnesses
 
-from lml.balls import FiniteGraph, RootedBall, cayley_ball, finite_ball
+from lml.balls import FiniteGraph, RootedBall, cayley_ball, distance, finite_ball
+from lml.cosets import default_witness
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.iso import PreparedBall, RootedIso, canonical_key, prepare
 from lml.localmodel import (
@@ -16,6 +17,7 @@ from lml.localmodel import (
     vertex_witnesses,
     verify_model,
 )
+from lml.reconstruct import present_on_S
 from lml.words import ResourceLimitError, bs_s10_setup
 
 
@@ -420,6 +422,17 @@ def test_fixing_radius_bs_from_radius_three(m, n, size, log3, log4):
     assert rho == 3
     RootedIso(ball, ball, mapping).validate()
     assert any(mapping[v] != v for v, d in enumerate(ball.dist) if d <= 3)
+
+
+# The rest of the s10 table: r', the radius the BS relator needs over S,
+# and the s10 length of the default witness [a b a^-1, b].
+@pytest.mark.parametrize("m, n, r_prime", [
+    (2, 3, 2), (3, 4, 2), (3, 5, 3), (4, 5, 3), (5, 6, 3), (9, 10, 4),
+])
+def test_bs_relator_radius_and_witness_length(m, n, r_prime):
+    engine, genset, presentation = bs_s10_setup(m, n)
+    assert present_on_S(presentation, genset, engine)[1] == r_prime
+    assert distance(engine, genset, default_witness(m, n)) == 6
 
 
 def test_fixing_radius_jsonable(z_setup):

@@ -1,9 +1,12 @@
 """Edge labeling, induced actions, presentations over S, and the full
 reconstruction pipeline."""
 
+import importlib
+import itertools
 import json
 import random
 import sys
+import time
 
 import pytest
 from conftest import ROUND_TRIP_FIXTURES
@@ -449,6 +452,131 @@ def test_reconstruct_flags_wrong_twist():
 
 
 # ---------------------------------------------------------------------------
+# free-group models: point-line incidence graphs of finite geometries
+
+
+F2_ALPH = ("x", "y")
+
+
+def f2_setup():
+    engine = FreeEngine(F2_ALPH)
+    genset = validate_genset(
+        engine, [parse_word(t, F2_ALPH) for t in ("x", "x^-1", "y", "y^-1")]
+    )
+    return engine, genset, Presentation(F2_ALPH, [])
+
+
+def projective_points(dim):
+    """The points of PG(dim - 1, 3): vectors whose first nonzero entry is 1."""
+    return [v for v in itertools.product(range(3), repeat=dim)
+            if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+
+
+def incidence_graph(points, lines):
+    """Points 0..p-1, then one vertex per line, joined to its points."""
+    index = {pt: i for i, pt in enumerate(points)}
+    p = len(points)
+    return FiniteGraph(p + len(lines), tuple(
+        (index[pt], p + j) for j, line in enumerate(lines) for pt in line
+    ))
+
+
+def pg23():
+    """PG(2,3): 13 points and 13 lines, 4-regular with girth 6, so a
+    2-local model of the 4-regular tree Cay(F2, {x, x^-1, y, y^-1})."""
+    points = projective_points(3)
+    lines = [[pt for pt in points if sum(a * b for a, b in zip(pt, ln)) % 3 == 0]
+             for ln in points]
+    return incidence_graph(points, lines)
+
+
+def w3():
+    """The generalised quadrangle W(3): the 40 points of PG(3,3) and its 40
+    lines isotropic for a symplectic form.  Girth 8: a 3-local F2 model."""
+    points = projective_points(4)
+
+    def form(u, v):
+        return (u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]) % 3
+
+    def normal(v):
+        lead = next(x for x in v if x)
+        return tuple(x * lead % 3 for x in v)  # lead is its own inverse mod 3
+
+    lines = sorted({
+        tuple(sorted({normal(tuple((a * x + b * y) % 3 for x, y in zip(u, v)))
+                      for a, b in projective_points(2)}))
+        for u, v in itertools.combinations(points, 2) if form(u, v) == 0
+    })
+    return incidence_graph(points, lines)
+
+
+def girth(graph):
+    best = None
+    adj = graph.adjacency
+    for root in range(graph.vertex_count):
+        depth, parent, queue = {root: 0}, {root: None}, [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in depth:
+                    depth[w], parent[w] = depth[u] + 1, u
+                    queue.append(w)
+                elif parent[u] != w:
+                    cycle = depth[u] + depth[w] + 1
+                    best = cycle if best is None else min(best, cycle)
+    return best
+
+
+def count_label_yields(monkeypatch):
+    """The maps yielded by the searches that label_edges starts itself."""
+    # The package exports a function named reconstruct over its module.
+    module = importlib.import_module("lml.reconstruct")
+    search, yielded = module._search, []
+
+    def counting(*args, **kwargs):
+        isos, cut = search(*args, **kwargs), None
+        while True:
+            try:
+                mapping = isos.send(cut)
+            except StopIteration:
+                return
+            yielded.append(mapping)
+            cut = yield mapping
+
+    monkeypatch.setattr(module, "_search", counting)
+    return yielded
+
+
+@pytest.mark.parametrize("build, size, g", [(pg23, 26, 6), (w3, 80, 8)])
+def test_incidence_graphs_are_regular_with_girth(build, size, g):
+    graph = build()
+    assert graph.vertex_count == size
+    assert all(len(graph.adjacency[v]) == 4 for v in range(size))
+    assert girth(graph) == g
+
+
+def test_ambiguity_search_stops_at_the_second_map(monkeypatch):
+    # The parent listed all 31,104 isomorphisms of the F2 2-ball.
+    engine, genset, _ = f2_setup()
+    assert iso.automorphism_scan(cayley_ball(engine, genset, 2), 2)[0] == 31104
+    yielded = count_label_yields(monkeypatch)
+    res = label_edges(pg23(), engine, genset, 2)
+    assert isinstance(res, AmbiguousLabeling)
+    assert res.disagreement() is not None
+    assert len(yielded) <= 2
+
+
+def test_ambiguity_on_a_three_local_free_model_is_fast():
+    # 6^12 automorphisms of the F2 3-ball fix its LABEL_RADIUS ball
+    # pointwise, so listing them all does not finish.
+    engine, genset, presentation = f2_setup()
+    assert iso.automorphism_scan(cayley_ball(engine, genset, 3), -1)[0] == 31104 * 6**12
+    start = time.perf_counter()
+    res = reconstruct(w3(), engine, genset, presentation, 3)
+    assert time.perf_counter() - start < 1
+    assert res.outcome == "ambiguous_labeling"
+
+
+# ---------------------------------------------------------------------------
 # one walk against the enumerate-every-isomorphism pipeline
 
 
@@ -478,6 +606,7 @@ def differential_cases(z_setup, z2_setup):
         for r in (1, 2, 3):
             for g in (graph, disjoint_union(graph, graph)):
                 yield g, engine, genset, fx.presentation(), r
+    yield (pg23(), *f2_setup(), 2)
 
 
 def test_reconstruct_matches_enumerating_oracle(z_setup, z2_setup):
