@@ -154,10 +154,10 @@ def _search(colors, nbrs, p2, probe=None):
     Source vertices are matched in stored (BFS) order, so every vertex
     after the root already has a mapped neighbor constraining it.  A probe
     (i, t) of an automorphism search of p2 starts at i, 0..i-1 fixed and t,
-    of i's color, the one candidate for i.  A frame holds the candidates
-    left, targets used, required neighbor images, and reach: one past the
-    highest neighbor of a moved vertex that misses its image.  send(k)
-    after a yield keeps the first k frames (module docstring).
+    of i's color, the one candidate for i, and is read for its first yield
+    only.  A frame holds the candidates left, targets used, required
+    neighbor images, and reach: one past the highest neighbor of a moved
+    vertex that misses its image.  send(k) after a yield keeps k frames.
     """
     n = len(colors)
     if n == 0:
