@@ -301,7 +301,7 @@ def schreier_from_table(table, genset):
 # finite quotients of a fixed degree
 
 
-def _least_conjugate(images, k):
+def _least_conjugate(images, k, max_nodes):
     """The lex-least relabelling of a tuple of permutations of 0..k-1.
 
     Entries are filled in generator-major order, the order conjugates
@@ -309,10 +309,13 @@ def _least_conjugate(images, k):
     image takes the least unused label, which is forced, so the search
     branches only where label y has no point yet, over every unlabelled
     point.  A branch is cut once it exceeds the best complete relabelling.
+    Past max_nodes branches (about e * k! when the images hold k equal
+    cycles) it raises ResourceLimitError.
     """
     total = len(images) * k
     best = [k] * total  # above every relabelling
     stack = [([], [])]
+    nodes = 0
     while stack:
         point, out = stack.pop()
         head = best[:len(out)]
@@ -323,6 +326,13 @@ def _least_conjugate(images, k):
         while len(out) < total:
             g, y = divmod(len(out), k)
             if y == len(point):
+                nodes += k - y
+                if nodes > max_nodes:
+                    raise ResourceLimitError(
+                        f"least-conjugate search at degree {k} reached "
+                        f"max_nodes={max_nodes} branches; points labelled: "
+                        f"{y} of {k}"
+                    )
                 stack.extend((point + [x], out[:]) for x in range(k - 1, -1, -1)
                              if x not in label)
                 break
@@ -445,14 +455,15 @@ def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
     """All transitive degree-k permutation quotients, up to conjugacy.
 
     The degree-k part of _low_index's search to degree k: coset tables on
-    the lex-least conjugate images, sorted by those images.
+    the lex-least conjugate images, sorted by those images.  max_nodes
+    caps the search and, separately, each class's relabelling.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
     found = _low_index(presentation, k, max_nodes)[k - 1]
     names = tuple(presentation.generators)
     return [CosetTable(names, k, images)
-            for images in sorted(_least_conjugate(t, k) for t in found)]
+            for images in sorted(_least_conjugate(t, k, max_nodes) for t in found)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +534,10 @@ def default_witness(m, n, gcd_witness=False):
     )
 
 
-def witness_report(m, n, max_degree, genset=None, witness=None,
-                   gcd_witness=False, max_nodes=DEFAULT_MAX_NODES,
+def witness_report(m, n, max_degree, witness=None, gcd_witness=False,
+                   max_nodes=DEFAULT_MAX_NODES,
                    max_explored=DEFAULT_MAX_VERTICES):
-    """Nontriviality, the degree-<=K quotient scan, and d(e, witness).
+    """Nontriviality, the degree-<=K quotient scan, and d(e, witness) over s10.
 
     The witness must be nontrivial (checked via its canonical form before
     any scanning).  all_trivial records whether the witness image is the
@@ -538,7 +549,6 @@ def witness_report(m, n, max_degree, genset=None, witness=None,
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     engine, s10, presentation = bs_s10_setup(m, n)
-    genset = s10 if genset is None else genset
     if witness is None:
         witness = default_witness(m, n, gcd_witness)
     nf = engine.britton(witness)
@@ -561,5 +571,5 @@ def witness_report(m, n, max_degree, genset=None, witness=None,
         homs_found=sum(map(len, found)),
         per_degree=tuple(enumerate(map(len, found), start=1)),
         all_trivial=all_trivial,
-        distance=distance(engine, genset, witness, max_explored),
+        distance=distance(engine, s10, witness, max_explored),
     )

@@ -32,6 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, repeat
 
+from .words import ResourceLimitError
+
+DEFAULT_MAX_FRAMES = 200_000  # canonical_key's cap; the Z^3 9-ball opens ~80,000
+
 
 @dataclass(frozen=True)
 class RootedIso:
@@ -268,7 +272,9 @@ def canonical_key(ball):
     refined color cells in invariant-code order; ties branch, with twin
     vertices (equal neighborhoods) collapsed, and a branch whose rows
     already exceed the best complete encoding is cut.  Row pos has bit
-    pos-1-i set when the vertex is adjacent to the one placed at i.
+    pos-1-i set when the vertex is adjacent to the one placed at i.  The
+    search opens at most DEFAULT_MAX_FRAMES frames, one per position
+    placed on a branch, and raises ResourceLimitError past that.
     """
     p = prepare(ball)
     ball = p.ball
@@ -283,8 +289,10 @@ def canonical_key(ball):
     # Frame pos: (vertices placed before pos, their row at pos, the
     # least-row candidates not yet tried, the ones already taken).
     stack = []
+    frames = 0
 
     def open_frame(pos, used):
+        nonlocal frames
         scored = []
         for v in p.cells[cell_seq[pos]]:
             if not (used >> v) & 1:
@@ -295,6 +303,13 @@ def canonical_key(ball):
                 scored.append((row, v))
         least = min(row for row, _ in scored)
         if best_rows is None or rows + [least] <= best_rows[: pos + 1]:
+            if frames >= DEFAULT_MAX_FRAMES:
+                raise ResourceLimitError(
+                    f"canonical-key search of a {n}-vertex ball reached "
+                    f"max_frames={DEFAULT_MAX_FRAMES} frames opened; "
+                    f"positions placed: {pos} of {n}"
+                )
+            frames += 1
             choices = iter([v for r, v in scored if r == least])
             stack.append((used, least, choices, []))
 

@@ -301,18 +301,18 @@ def check_factors(action, relators, pairing=None):
     return True
 
 
-def stabilizer(action, v, genset):
-    """Schreier generators of the stabilizer of v, over the original alphabet.
+def stabilizer(action, genset):
+    """Schreier generators of vertex 0's stabilizer, over the original alphabet.
 
-    BFS spanning tree rooted at v with edges tried in S order; each
+    BFS spanning tree rooted at 0 with edges tried in S order; each
     non-tree pair (u, s) contributes p_u * s * p_{sigma_s(u)}^-1, freely
     reduced, with empties and exact duplicates dropped.
     """
     n = action.vertex_count
     letters = [s.letters for s in genset.words]
     path, back = [None] * n, [None] * n  # reduced letter tuples, inverses
-    path[v] = back[v] = ()
-    order = [v]
+    path[0] = back[0] = ()
+    order = [0]
     tree = set()
     qi = 0
     while qi < len(order):
@@ -430,7 +430,7 @@ def reconstruct(graph, engine, genset, presentation, radius,
             r_prime=r_prime,
             violation=ok,
         )
-    stab = stabilizer(action, 0, genset)
+    stab = stabilizer(action, genset)
     assert action.underlying_graph().edges == graph.edges
     return ReconstructionResult(
         "success",

@@ -214,11 +214,11 @@ class BrittonForm:
     def is_identity(self):
         return not self.syllables and self.t0 == 0
 
-    def to_word(self, a=0, b=1):
-        pairs = [(b, self.t0)]
+    def to_word(self):
+        pairs = [(1, self.t0)]
         for eps, t in self.syllables:
-            pairs.append((a, eps))
-            pairs.append((b, t))
+            pairs.append((0, eps))
+            pairs.append((1, t))
         return word(pairs)
 
 
@@ -233,10 +233,11 @@ def _syllables(code, m, n):
     return tuple([(1, d - 1) if d <= m else (-1, d - 1 - m) for d in digits])
 
 
-def britton_stepper(w, m, n, a=0, b=1):
+def britton_stepper(w, m, n):
     """key -> key times w on the (t0, code) keys of BS(m, n), built once.
 
-    code packs the syllable stack, the top syllable in the low bits and
+    Letters 0 and 1 of w are a and b; any other is a ValueError.  code
+    packs the syllable stack, the top syllable in the low bits and
     (m + n).bit_length() bits per syllable: digit 1 + t after a^+1 and
     1 + m + t after a^-1, so code 0 is the empty stack.  A letter changes
     only the top (Britton's lemma), so each b-letter and a^(+-1) is one
@@ -286,12 +287,12 @@ def britton_stepper(w, m, n, a=0, b=1):
         return rule
 
     a_rules = {1: a_rule(1 + m, 1), -1: a_rule(1, 1 + m)}
-    b_rules = {e: b_rule(e) for e in {e for g, e in w.letters if g == b}}
+    b_rules = {e: b_rule(e) for e in {e for g, e in w.letters if g == 1}}
     rules = []
     for g, e in w.letters:
-        if g == b:
+        if g == 1:
             rules.append(b_rules[e])
-        elif g == a:
+        elif g == 0:
             rules.extend([a_rules[1 if e > 0 else -1]] * abs(e))
         else:
             raise ValueError(f"letter {g} outside the two-letter BS alphabet")
@@ -311,11 +312,11 @@ def _check_bs(m, n):
         raise ValueError(f"BS parameters must be positive, got ({m}, {n})")
 
 
-def britton_normal_form(w, m, n, a=0, b=1):
-    """Britton-reduce and canonicalize a word over {a, b} in BS(m, n): the
-    packed key from the empty form, unpacked."""
+def britton_normal_form(w, m, n):
+    """Britton-reduce and canonicalize a word over a = 0, b = 1 in BS(m, n):
+    the packed key from the empty form, unpacked."""
     _check_bs(m, n)
-    t0, code = britton_stepper(w, m, n, a, b)((0, 0))
+    t0, code = britton_stepper(w, m, n)((0, 0))
     return BrittonForm(m, n, t0, _syllables(code, m, n))
 
 
@@ -401,15 +402,13 @@ class BaumslagSolitarEngine(GroupEngine):
     """BS(m, n) on the fixed two-letter alphabet (a, b).  Keys are packed
     (t0, code) pairs; label and britton unpack them to BrittonForms."""
 
+    alphabet = ("a", "b")
     kind = "bs"
 
-    def __init__(self, m, n, alphabet=("a", "b")):
+    def __init__(self, m, n):
         _check_bs(m, n)
-        if len(alphabet) != 2:
-            raise ValueError("BS engine is over a two-letter alphabet")
         self.m = m
         self.n = n
-        self.alphabet = tuple(alphabet)
 
     def britton(self, w):
         return britton_normal_form(w, self.m, self.n)

@@ -442,7 +442,7 @@ def oracle_reconstruct(graph, engine, genset, presentation, radius):
         )
     return ReconstructionResult(
         "success", labeling=labeled, action=action,
-        stabilizer_words=tuple(stabilizer(action, 0, genset)), r_prime=r_prime,
+        stabilizer_words=tuple(stabilizer(action, genset)), r_prime=r_prime,
     )
 
 

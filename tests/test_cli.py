@@ -153,6 +153,31 @@ def test_verify_large_balls_give_a_verdict(capsys, tmp_path):
     assert doc["rejection"]["vertex"] == 0 and doc["classes"] == []
 
 
+def test_verify_stops_at_the_key_cap_on_the_s10_three_ball(capsys, tmp_path):
+    # Vertex 0 of the ball's own graph matches, so verify computes the
+    # ball's canonical key; uncapped, that search ran past 60 s.
+    code, text, _ = run(
+        capsys, "ball", "--preset", "s10", "--radius", "3", "--format", "text"
+    )
+    assert code == 0
+    lines = text.splitlines(keepends=True)
+    path = tmp_path / "s10r3.graph"
+    path.write_text("".join(lines[:int(lines[0].split()[1]) + 1]))
+    src = str(Path(lml.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lml", "verify", "--preset", "s10",
+         "--radius", "3", "--graph", str(path)],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: canonical-key search of a 527-vertex ball reached "
+        f"max_frames={lml.iso.DEFAULT_MAX_FRAMES} frames opened; "
+        "positions placed: "
+    )
+
+
 def test_verify_missing_graph_file(capsys, tmp_path):
     code, out, err = run(
         capsys,
@@ -403,6 +428,21 @@ def test_quotients_match_brute_force(capsys, tmp_path):
     )
     assert doc["count"] == len(want)
     assert [tuple(tuple(p) for p in c["images"]) for c in doc["classes"]] == want
+
+
+def test_quotients_stop_at_the_relabelling_cap(capsys, tmp_path):
+    # a is trivial, so relabelling the one class branches 325 times.
+    pres = tmp_path / "c5.pres"
+    pres.write_text("gens a b\nrel a\nrel b^5\n")
+    argv = ("quotients", "--presentation", str(pres), "--degree", "5")
+    code, out, err = run(capsys, *argv, "--max-nodes", "324")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: least-conjugate search at degree 5 reached max_nodes=324 "
+        "branches; points labelled: 4 of 5\n"
+    )
+    code, doc, _ = run_json(capsys, *argv, "--max-nodes", "325")
+    assert code == 0 and doc["count"] == 1
 
 
 def test_witness_scan_all_trivial(capsys):

@@ -291,6 +291,27 @@ def test_enumerate_homs_argument_checks():
         enumerate_homs(Presentation(("x",), [word(((1, 1),))]), 2)
 
 
+def trivial_a_presentation(k):
+    """<a, b | a, b^k>: each degree-k class has a trivial and b a k-cycle."""
+    return Presentation(("a", "b"), [word(((0, 1),)), word(((1, k),))])
+
+
+# With a trivial, the relabelling branches over every order of the points:
+# the sum of k! / (k - d)! over d = 1..k branches.
+@pytest.mark.parametrize("k, branches", ((3, 15), (4, 64), (5, 325), (6, 1956)))
+def test_relabelling_cap_fails_exactly_below_the_branch_count(k, branches):
+    pres = trivial_a_presentation(k)
+    (h,) = enumerate_homs(pres, k, max_nodes=branches)
+    assert h.forward == (tuple(range(k)), tuple(range(1, k)) + (0,))
+    assert enumerate_homs(pres, k) == [h]
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_homs(pres, k, max_nodes=branches - 1)
+    assert str(info.value) == (
+        f"least-conjugate search at degree {k} reached "
+        f"max_nodes={branches - 1} branches; points labelled: {k - 1} of {k}"
+    )
+
+
 # The coprime pairs of the witness-bs benchmark workload.
 WITNESS_PAIRS = ((2, 3), (3, 4), (3, 5), (4, 5), (9, 10))
 
@@ -302,7 +323,8 @@ def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
     found = _low_index(pres, 7, DEFAULT_MAX_NODES)
     for k, classes in enumerate(found, start=1):
         canonical = [h.forward for h in enumerate_homs(pres, k)]
-        assert sorted(_least_conjugate(t, k) for t in classes) == canonical
+        assert sorted(_least_conjugate(t, k, DEFAULT_MAX_NODES)
+                      for t in classes) == canonical
         for images in canonical:
             assert brute_least_conjugate(images, k) == images
             # Any relabelling of a class comes back to the same images.
@@ -310,7 +332,7 @@ def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
             rng.shuffle(c)
             moved = tuple(tuple(c[p[c.index(x)]] for x in range(k))
                           for p in images)
-            assert _least_conjugate(moved, k) == images
+            assert _least_conjugate(moved, k, DEFAULT_MAX_NODES) == images
 
 
 @pytest.mark.parametrize("m, n", WITNESS_PAIRS)

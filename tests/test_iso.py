@@ -30,6 +30,7 @@ from lml.words import (
     BaumslagSolitarEngine,
     FreeAbelianEngine,
     FreeEngine,
+    ResourceLimitError,
     bs_s10_setup,
     parse_word,
     validate_genset,
@@ -524,6 +525,38 @@ def test_searches_do_not_recurse_on_large_balls():
     assert key.startswith(b"n=1201;")
     assert canonical_key(relabeled_copy(path, random.Random(3))) == key
     assert automorphism_scan(path, 1)[0] == 2
+
+
+def s10_ball(r):
+    engine, s10, _ = bs_s10_setup(9, 10)
+    return cayley_ball(engine, s10, r)
+
+
+# Frames canonical_key opens, found by bisecting DEFAULT_MAX_FRAMES; the
+# path is the largest ball any test keys.
+@pytest.mark.parametrize("make, radius, frames", (
+    (z2_ball, 2, 189), (z2_ball, 5, 665), (s10_ball, 2, 388),
+    (path_ball, 600, 2400),
+))
+def test_key_cap_fails_exactly_below_the_frame_count(
+        monkeypatch, make, radius, frames):
+    ball = make(radius)
+    key = canonical_key(ball)
+    monkeypatch.setattr(iso, "DEFAULT_MAX_FRAMES", frames)
+    assert canonical_key(ball) == key
+    monkeypatch.setattr(iso, "DEFAULT_MAX_FRAMES", frames - 1)
+    with pytest.raises(ResourceLimitError):
+        canonical_key(ball)
+
+
+def test_key_cap_message_names_the_search_and_its_counts(monkeypatch):
+    monkeypatch.setattr(iso, "DEFAULT_MAX_FRAMES", 5)
+    with pytest.raises(ResourceLimitError) as info:
+        canonical_key(z2_ball(2))
+    assert str(info.value) == (
+        "canonical-key search of a 13-vertex ball reached max_frames=5 "
+        "frames opened; positions placed: 5 of 13"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -344,14 +344,14 @@ def test_check_factors_matches_pointwise_oracle():
 
 def test_stabilizer_of_cycle_rotation(z_setup):
     _, genset = z_setup
-    gens = stabilizer(rotation_action(5), 0, genset)
+    gens = stabilizer(rotation_action(5), genset)
     assert [g.render(Z_ALPH) for g in gens] == ["x^5", "x^-5"]
 
 
 def test_stabilizer_of_single_vertex_is_whole_genset(z_setup):
     _, genset = z_setup
     point = SchreierGraph(1, ((0,), (0,)))
-    gens = stabilizer(point, 0, genset)
+    gens = stabilizer(point, genset)
     assert [g.render(Z_ALPH) for g in gens] == ["x", "x^-1"]
 
 

@@ -216,8 +216,6 @@ def test_engine_step_is_the_product_on_keys():
 def test_bs_engine_rejects_bad_parameters():
     with pytest.raises(ValueError):
         BaumslagSolitarEngine(0, 3)
-    with pytest.raises(ValueError):
-        BaumslagSolitarEngine(2, 3, alphabet=("a", "b", "c"))
 
 
 def test_perm_engine_left_to_right_convention():
