@@ -301,53 +301,57 @@ def schreier_from_table(table, genset):
 # finite quotients of a fixed degree
 
 
-def _least_conjugate(images, k, max_nodes):
-    """The lex-least relabelling of a tuple of permutations of 0..k-1.
+def _least_conjugates(classes, k, max_nodes):
+    """The lex-least relabelling of each tuple of permutations of 0..k-1.
 
     Entries are filled in generator-major order, the order conjugates
     compare in: entry (g, y) is the label of images[g][point[y]].  A new
     image takes the least unused label, which is forced, so the search
     branches only where label y has no point yet, over every unlabelled
     point.  A branch is cut once it exceeds the best complete relabelling.
-    Past max_nodes branches (about e * k! when the images hold k equal
-    cycles) it raises ResourceLimitError.
+    Past max_nodes branches over all classes (one class takes about
+    e * k! when its images hold k equal cycles) it raises
+    ResourceLimitError.
     """
-    total = len(images) * k
-    best = [k] * total  # above every relabelling
-    stack = [([], [])]
     nodes = 0
-    while stack:
-        point, out = stack.pop()
-        head = best[:len(out)]
-        if out > head:
-            continue
-        tied = out == head
-        label = {x: y for y, x in enumerate(point)}
-        while len(out) < total:
-            g, y = divmod(len(out), k)
-            if y == len(point):
-                nodes += k - y
-                if nodes > max_nodes:
-                    raise ResourceLimitError(
-                        f"least-conjugate search at degree {k} reached "
-                        f"max_nodes={max_nodes} branches; points labelled: "
-                        f"{y} of {k}"
-                    )
-                stack.extend((point + [x], out[:]) for x in range(k - 1, -1, -1)
-                             if x not in label)
-                break
-            u = images[g][point[y]]
-            v = label.setdefault(u, len(point))
-            if v == len(point):
-                point.append(u)
-            if tied and v != best[len(out)]:
-                if v > best[len(out)]:
+    found = []
+    for i, images in enumerate(classes):
+        total = len(images) * k
+        best = [k] * total  # above every relabelling
+        stack = [([], [])]
+        while stack:
+            point, out = stack.pop()
+            head = best[:len(out)]
+            if out > head:
+                continue
+            tied = out == head
+            label = {x: y for y, x in enumerate(point)}
+            while len(out) < total:
+                g, y = divmod(len(out), k)
+                if y == len(point):
+                    nodes += k - y
+                    if nodes > max_nodes:
+                        raise ResourceLimitError(
+                            f"least-conjugate search at degree {k} reached "
+                            f"max_nodes={max_nodes} branches; classes done: "
+                            f"{i} of {len(classes)}"
+                        )
+                    stack.extend((point + [x], out[:])
+                                 for x in range(k - 1, -1, -1) if x not in label)
                     break
-                tied = False
-            out.append(v)
-        else:
-            best = out
-    return tuple([tuple(best[i:i + k]) for i in range(0, total, k)])
+                u = images[g][point[y]]
+                v = label.setdefault(u, len(point))
+                if v == len(point):
+                    point.append(u)
+                if tied and v != best[len(out)]:
+                    if v > best[len(out)]:
+                        break
+                    tied = False
+                out.append(v)
+            else:
+                best = out
+        found.append(tuple([tuple(best[j:j + k]) for j in range(0, total, k)]))
+    return found
 
 
 def _deduce(table, ncols, scans):
@@ -456,14 +460,14 @@ def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
 
     The degree-k part of _low_index's search to degree k: coset tables on
     the lex-least conjugate images, sorted by those images.  max_nodes
-    caps the search and, separately, each class's relabelling.
+    caps the search and, separately, the relabelling of all its classes.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
     found = _low_index(presentation, k, max_nodes)[k - 1]
     names = tuple(presentation.generators)
     return [CosetTable(names, k, images)
-            for images in sorted(_least_conjugate(t, k, max_nodes) for t in found)]
+            for images in sorted(_least_conjugates(found, k, max_nodes))]
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,7 @@ def test_quotients_stop_at_the_relabelling_cap(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == (
         "error: least-conjugate search at degree 5 reached max_nodes=324 "
-        "branches; points labelled: 4 of 5\n"
+        "branches; classes done: 0 of 1\n"
     )
     code, doc, _ = run_json(capsys, *argv, "--max-nodes", "325")
     assert code == 0 and doc["count"] == 1

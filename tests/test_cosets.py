@@ -17,7 +17,7 @@ from lml.cosets import (
     DEFAULT_MAX_NODES,
     CosetTable,
     IndexExceedsBound,
-    _least_conjugate,
+    _least_conjugates,
     _low_index,
     default_witness,
     enumerate_homs,
@@ -308,8 +308,16 @@ def test_relabelling_cap_fails_exactly_below_the_branch_count(k, branches):
         enumerate_homs(pres, k, max_nodes=branches - 1)
     assert str(info.value) == (
         f"least-conjugate search at degree {k} reached "
-        f"max_nodes={branches - 1} branches; points labelled: {k - 1} of {k}"
+        f"max_nodes={branches - 1} branches; classes done: 0 of 1"
     )
+
+
+def test_relabelling_cap_counts_the_branches_of_every_class():
+    # a is trivial, so each of the 26 classes at degree 4 takes 64 branches.
+    pres = Presentation(("a", "b", "c"), [word(((0, 1),))])
+    assert len(enumerate_homs(pres, 4, max_nodes=26 * 64)) == 26
+    with pytest.raises(ResourceLimitError, match="classes done: 25 of 26$"):
+        enumerate_homs(pres, 4, max_nodes=26 * 64 - 1)
 
 
 # The coprime pairs of the witness-bs benchmark workload.
@@ -323,8 +331,7 @@ def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
     found = _low_index(pres, 7, DEFAULT_MAX_NODES)
     for k, classes in enumerate(found, start=1):
         canonical = [h.forward for h in enumerate_homs(pres, k)]
-        assert sorted(_least_conjugate(t, k, DEFAULT_MAX_NODES)
-                      for t in classes) == canonical
+        assert sorted(_least_conjugates(classes, k, DEFAULT_MAX_NODES)) == canonical
         for images in canonical:
             assert brute_least_conjugate(images, k) == images
             # Any relabelling of a class comes back to the same images.
@@ -332,7 +339,7 @@ def test_one_search_finds_every_degree_and_the_least_conjugates(m, n):
             rng.shuffle(c)
             moved = tuple(tuple(c[p[c.index(x)]] for x in range(k))
                           for p in images)
-            assert _least_conjugate(moved, k, DEFAULT_MAX_NODES) == images
+            assert _least_conjugates([moved], k, DEFAULT_MAX_NODES) == [images]
 
 
 @pytest.mark.parametrize("m, n", WITNESS_PAIRS)

@@ -31,7 +31,7 @@ from oracles import (
 from lml.cosets import (
     DEFAULT_MAX_NODES,
     IndexExceedsBound,
-    _least_conjugate,
+    _least_conjugates,
     _low_index,
     todd_coxeter,
 )
@@ -183,8 +183,8 @@ def permutation_tuples(draw):
 @given(permutation_tuples())
 def test_least_conjugate_matches_the_relabelling_loop(case):
     k, images = case
-    assert (_least_conjugate(images, k, DEFAULT_MAX_NODES)
-            == brute_least_conjugate(images, k))
+    assert (_least_conjugates([images], k, DEFAULT_MAX_NODES)
+            == [brute_least_conjugate(images, k)])
 
 
 # Finite groups <x, y | x^a, y^b, (xy)^c> with 1/a + 1/b + 1/c > 1: the
