@@ -27,6 +27,7 @@ from .balls import (
 from .cosets import (
     CosetTable,
     IndexExceedsBound,
+    SchreierGraph,
     SchreierRealization,
     WitnessReport,
     coset_genset,
@@ -59,7 +60,6 @@ from .reconstruct import (
     NotRegularError,
     ReconstructionResult,
     RelatorViolation,
-    SchreierGraph,
     build_action,
     check_factors,
     label_edges,

@@ -140,7 +140,7 @@ def _max_vertices(args):
 
 
 def _emit(args, obj, text=None):
-    if args.format == "text" and text is not None:
+    if text is not None and args.format == "text":
         payload = text
     else:
         payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -292,9 +292,10 @@ def cmd_klein(args):
     return EXIT_OK
 
 
-def _add_common(p):
+def _add_common(p, text=False):
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    if text:
+        p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _add_engine(p):
@@ -319,7 +320,7 @@ def build_parser():
 
     p = sub.add_parser("ball", help="ball around the identity in Cay(G, S)")
     _add_engine(p)
-    _add_common(p)
+    _add_common(p, text=True)
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(handler=cmd_ball)
 
@@ -384,7 +385,7 @@ def build_parser():
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("klein", help="Klein-bottle grid fixture")
-    _add_common(p)
+    _add_common(p, text=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.set_defaults(handler=cmd_klein)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import DEFAULT_MAX_VERTICES, FiniteGraph, distance
-from .reconstruct import SchreierGraph
 from .words import (
     FreeEngine,
     GenSet,
@@ -224,6 +223,29 @@ def todd_coxeter(presentation, subgroup_gens, max_cosets=DEFAULT_MAX_COSETS):
 
 # ---------------------------------------------------------------------------
 # Schreier graphs out of tables
+
+
+@dataclass(frozen=True)
+class SchreierGraph:
+    """A right action on vertices: sigma[i][v] is v moved by S-letter i."""
+
+    vertex_count: int
+    sigma: tuple
+
+    def underlying_graph(self):
+        """The simple graph of the action (loops and multiplicity dropped)."""
+        edges = set()
+        for col in self.sigma:
+            for v, w in enumerate(col):
+                if v != w:
+                    edges.add((v, w) if v < w else (w, v))
+        return FiniteGraph(self.vertex_count, tuple(edges))
+
+    def to_jsonable(self):
+        return {
+            "vertex_count": self.vertex_count,
+            "sigma": [list(col) for col in self.sigma],
+        }
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balls import (
-    DEFAULT_MAX_VERTICES,
-    FiniteGraph,
-    _grow,
-    cayley_ball,
-    finite_ball,
-    is_connected,
+    DEFAULT_MAX_VERTICES, FiniteGraph, RootedBall, _edges, _grow, cayley_ball, is_connected,
 )
 from .iso import (
-    RootedIso,
-    _check_iso,
-    _refine,
-    _search,
-    automorphism_scan,
-    canonical_key,
-    prepare,
+    RootedIso, _check_iso, _refine, _search, automorphism_scan, canonical_key, prepare,
 )
 from .words import LmlError
 
@@ -83,12 +72,14 @@ class ModelVerdict:
 def vertex_witnesses(graph, target, radius):
     """Match each vertex ball against the prepared target, in vertex order.
 
-    Yields (vertex, order, mapping): order[ball vertex] is the graph
-    vertex, and mapping is the lex-first rooted isomorphism from the ball
-    onto the target.  Raises NotAModelError at the first vertex whose ball
-    does not match.  A ball stays the lists of one breadth-first search
-    over graph.adjacency (cached on graph, so pass a private copy): it is
-    refined like the target, searched and checked with no ball object.
+    Yields (vertex, order, dist, nbrs, colors, mapping): order[ball vertex]
+    is the graph vertex, dist, nbrs and colors the ball's distances,
+    neighbour lists and refined colors, and mapping the lex-first rooted
+    isomorphism from the ball onto the target.  Raises NotAModelError at
+    the first vertex whose ball does not match.  A ball stays the lists of
+    one breadth-first search over graph.adjacency (cached on graph, so
+    pass a private copy): it is refined like the target, searched and
+    checked with no ball object.
     When every color of the target is a single vertex, the witness is read
     off the ball's colors, color c to c's vertex, with no search: it is the
     only candidate, and _check_iso decides whether it is an isomorphism.
@@ -115,7 +106,7 @@ def vertex_witnesses(graph, target, radius):
                 f"ball at vertex {v} is not rooted-isomorphic to the "
                 f"radius-{radius} ball at the identity",
             ))
-        yield v, order, found
+        yield v, order, dist, nbrs, refined[0], found
 
 
 def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
@@ -134,9 +125,9 @@ def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICE
     classes = ()
     rejection = None
     try:
-        for v, _, mapping in vertex_witnesses(graph, target, radius):
+        for v, order, dist, nbrs, _, mapping in vertex_witnesses(graph, target, radius):
             if v == 0:
-                ball = finite_ball(graph, 0, radius)
+                ball = RootedBall(len(order), radius, dist, _edges(nbrs))
                 witness = RootedIso(ball, target.ball, mapping)
                 classes = (ModelClass(canonical_key(target), 0, witness),)
     except NotAModelError as err:

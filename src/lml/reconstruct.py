@@ -17,9 +17,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .balls import (
-    DEFAULT_MAX_VERTICES, FiniteGraph, cayley_ball, distance, finite_ball, is_connected,
+    DEFAULT_MAX_VERTICES, FiniteGraph, RootedBall, _edges, cayley_ball, distance, is_connected,
 )
-from .iso import RootedIso, _search, automorphism_scan, prepare
+from .cosets import SchreierGraph
+from .iso import RootedIso, _search, prepare
 from .localmodel import NotAModelError, vertex_witnesses
 from .words import LmlError, Word, _word_permutation, concat, free_reduce, invert, word
 
@@ -83,29 +84,6 @@ class EdgeLabeling:
 
 
 @dataclass(frozen=True)
-class SchreierGraph:
-    """A right action on vertices: sigma[i][v] is v moved by S-letter i."""
-
-    vertex_count: int
-    sigma: tuple
-
-    def underlying_graph(self):
-        """The simple graph of the action (loops and multiplicity dropped)."""
-        edges = set()
-        for col in self.sigma:
-            for v, w in enumerate(col):
-                if v != w:
-                    edges.add((v, w) if v < w else (w, v))
-        return FiniteGraph(self.vertex_count, tuple(edges))
-
-    def to_jsonable(self):
-        return {
-            "vertex_count": self.vertex_count,
-            "sigma": [list(col) for col in self.sigma],
-        }
-
-
-@dataclass(frozen=True)
 class AmbiguousLabeling:
     """Two ball isomorphisms at `vertex` that differ within LABEL_RADIUS."""
 
@@ -149,12 +127,13 @@ def label_edges(graph, engine, genset, radius,
     the first ball that does not match) and labels edge (v, w) by the s
     with phi_v(w) = s, phi_v being the lex-first isomorphism onto the
     identity ball.  Two such isomorphisms differ by an automorphism of the
-    identity ball, so one automorphism scan decides for every vertex
-    whether they agree within LABEL_RADIUS; if not, vertex 0 is reported
-    as AmbiguousLabeling, with the next map in lex order that moves the
-    LABEL_RADIUS ball.  The reverse edge must carry the paired inverse
-    letter (LabelInconsistency otherwise).  The walk caches an adjacency
-    on graph; reconstruct hands it a private copy.
+    identity ball, so one search decides for every vertex whether they
+    agree within LABEL_RADIUS: vertex 0's, on the walk's lists, cut after
+    its first map to the LABEL_RADIUS prefix.  A second map, the next in
+    lex order that moves that ball, is reported as AmbiguousLabeling.  The
+    reverse edge must carry the paired inverse letter (LabelInconsistency
+    otherwise).  The walk caches an adjacency on graph; reconstruct hands
+    it a private copy.
     """
     if radius < 1:
         raise ValueError("edge labeling needs radius >= 1")
@@ -162,20 +141,24 @@ def label_edges(graph, engine, genset, radius,
         raise ValueError("graph has no vertices")
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
     labels = {}
-    for v, order, mapping in vertex_witnesses(graph, target, radius):
+    for v, order, dist, nbrs, colors, mapping in vertex_witnesses(graph, target, radius):
+        if v == 0:
+            root = dist, nbrs, colors
         # The root's neighbours are ball vertices 1..deg(v), and the
         # identity ball numbers S-letter i as vertex i + 1.
         for x in range(1, graph.degree(v) + 1):
             labels[(v, order[x])] = mapping[x] - 1
-    if automorphism_scan(target, LABEL_RADIUS)[1] is not None:
-        p0 = prepare(finite_ball(graph, 0, radius), like=target)
-        isos = _search(p0.colors, p0.ball.adjacency, target)
-        ref = RootedIso(p0.ball, target.ball, next(isos))
-        try:
-            second = isos.send(sum(d <= LABEL_RADIUS for d in p0.ball.dist))
-            return AmbiguousLabeling(0, ref, RootedIso(p0.ball, target.ball, second))
-        except StopIteration:
-            pass
+    dist, nbrs, colors = root
+    isos = _search(colors, nbrs, target)
+    first = next(isos)
+    try:
+        second = isos.send(sum(d <= LABEL_RADIUS for d in dist))
+    except StopIteration:  # every map agrees within LABEL_RADIUS
+        second = None
+    if second is not None:
+        ball = RootedBall(len(dist), radius, dist, _edges(nbrs))
+        return AmbiguousLabeling(0, RootedIso(ball, target.ball, first),
+                                 RootedIso(ball, target.ball, second))
     for (v, w), i in labels.items():
         back = labels[(w, v)]
         if back != genset.inverse_pairing[i]:

@@ -106,6 +106,22 @@ def test_ball_custom_s(capsys):
     assert doc["labels"][1] == "x^2"
 
 
+def test_ball_free_engine_sphere_sizes_and_axis_names(capsys):
+    code, doc, _ = run_json(
+        capsys, "ball", "--engine", "free", "--d", "2", "--radius", "3"
+    )
+    assert code == 0
+    assert doc["sphere_sizes"] == [1, 4, 12, 36]
+    # Past three axes the names are numbered.
+    code, doc, _ = run_json(
+        capsys, "ball", "--engine", "free", "--d", "4", "--radius", "1"
+    )
+    assert code == 0
+    assert doc["labels"] == [
+        "", "x1", "x1^-1", "x2", "x2^-1", "x3", "x3^-1", "x4", "x4^-1"
+    ]
+
+
 def test_ball_out_file_matches_stdout(capsys, tmp_path):
     _, stdout_doc, _ = run_json(capsys, "ball", "--radius", "1")
     target = tmp_path / "ball.json"
@@ -208,6 +224,35 @@ def test_reconstruct_with_presentation_file(capsys, cycle_file, tmp_path):
         "--presentation", str(pres),
     )
     assert code == 1 and doc["outcome"] == "ambiguous_labeling"
+
+
+def test_reconstruct_default_presentations(capsys, tmp_path):
+    # BS(1, 1) is Z^2, so the default bs presentation and the zd one see
+    # the same torus balls and report the same ambiguity.
+    torus = tmp_path / "t.graph"
+    torus.write_text(render_graph(torus_grid(6, 6)))
+    docs = []
+    for engine in (("--m", "1", "--n", "1"), ("--engine", "zd", "--d", "2")):
+        code, doc, _ = run_json(
+            capsys, "reconstruct", *engine, "--graph", str(torus), "--radius", "2"
+        )
+        assert code == 1 and doc["outcome"] == "ambiguous_labeling"
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["ambiguity"]["disagreement"] == 3
+    # The zd default on a Klein grid, as the console-script check runs it.
+    klein = tmp_path / "k.graph"
+    code, _, _ = run(capsys, "klein", "--w", "8", "--h", "7", "--format", "text",
+                     "--out", str(klein))
+    assert code == 0
+    code, doc, _ = run_json(
+        capsys,
+        "reconstruct", "--engine", "zd", "--d", "2",
+        "--graph", str(klein), "--radius", "3",
+    )
+    assert code == 1 and doc["outcome"] == "ambiguous_labeling"
+    assert doc["ambiguity"]["vertex"] == 0
+    assert doc["ambiguity"]["disagreement"] == 3
 
 
 def test_reconstruct_not_a_model(capsys, cycle_file):
@@ -565,6 +610,47 @@ def test_usage_errors_are_bad_input(capsys):
     assert code == 3 and "--graph" in err
     code, out, err = run(capsys, "verify", "--help")
     assert code == 0 and "--graph" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "--graph", "unused.graph", "--radius", "2"),
+        ("reconstruct", "--graph", "unused.graph", "--radius", "2"),
+        ("r0", "--r", "1", "--bound", "1"),
+        ("distance", "--word", "a"),
+        ("cosets", "--presentation", "unused.pres"),
+        ("quotients", "--degree", "1"),
+        ("witness", "--max-degree", "1"),
+    ),
+)
+def test_format_is_refused_where_no_text_form_exists(capsys, argv):
+    # Only ball and klein have a text form, so only they take --format.
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert code == 3 and out == ""
+    assert "unrecognized arguments: --format text" in err
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    (
+        ("gens a b\ngens a\n", "repeated gens line", 2),
+        ("# no names\ngens\n", "gens line lists no generators", 2),
+        ("gens a b^2\n", "bad generator name 'b^2'", 1),
+        ("gens a b|c\n", "bad generator name 'b|c'", 1),
+        ("S a\ngens a\n", "S before gens", 1),
+        ("gens a b\nS a|b\nS a\n", "repeated S line", 3),
+        ("gens a b\nrel a b\nS a|c\n", "bad S word: ", 3),
+    ),
+)
+def test_presentation_file_errors_name_their_line(capsys, tmp_path, text, message, line):
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    code, out, err = run(capsys, "quotients", "--presentation", str(path),
+                         "--degree", "2")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(f" (line {line})\n")
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,42 @@ def test_coincidence_heavy_table_matches_the_find_on_read_enumeration(
     assert table == find_on_read_todd_coxeter(pres, [])
 
 
+@pytest.mark.parametrize(
+    "generators, relators, subgroup, index",
+    (
+        ("ab", ("b a^2", "a^5 b^2 a^-2 b^-1"), (), 1),
+        ("abc", ("a^5", "c b^-2 c^2 a^3 c^-1 a", "a^-2 c a^2"), (), 10),
+        ("ab", ("b^2 a", "a^5 b", "a^5 b^2 a^2"), ("b^-1 a^-1 b",), 1),
+    ),
+)
+def test_coincidence_onto_an_inverse_entry_matches_the_oracles(
+        generators, relators, subgroup, index):
+    # Each reaches the coincidence branch the Z60 x Z60 table never does:
+    # a dying coset's entry d, where the surviving coset has no entry of
+    # that column but d already has the inverse entry.
+    alph = tuple(generators)
+    pres = Presentation(alph, [parse_word(t, alph) for t in relators])
+    gens = [parse_word(t, alph) for t in subgroup]
+    table = todd_coxeter(pres, gens)
+    assert table.cosets == index
+    assert table == find_on_read_todd_coxeter(pres, gens)
+    fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *letters = free_group(", ".join(alph))
+
+    def element(w):
+        out = free.identity
+        for g, e in w.letters:
+            out *= letters[g] ** e
+        return out
+
+    group = fp_groups.FpGroup(free, [element(r) for r in pres.relators])
+    cosets = fp_groups.coset_enumeration_r(group, [element(w) for w in gens])
+    cosets.compress()
+    assert len(cosets.table) == index
+
+
 def test_todd_coxeter_is_deterministic():
     pres = s3_presentation()
     runs = [todd_coxeter(pres, [parse_word("a", pres.generators)]) for _ in range(2)]

@@ -7,6 +7,7 @@ import pytest
 from conftest import ROUND_TRIP_FIXTURES
 from oracles import classify_verify_model, per_vertex_witnesses
 
+from lml import balls, localmodel
 from lml.balls import FiniteGraph, RootedBall, cayley_ball, distance, finite_ball
 from lml.cosets import default_witness
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
@@ -199,13 +200,17 @@ def test_verify_model_respects_vertex_cap(bs_setup):
 
 def assert_walk_matches_oracle(graph, target, radius):
     """Same (vertex, order, mapping) triples and the same rejection as the
-    per-vertex oracle; and at every vertex, the integer-keyed refinement
+    per-vertex oracle, and each matched ball's yielded lists and colors are
+    its ball object's; and at every vertex, the integer-keyed refinement
     against the target agrees with the ball's own tuple-keyed one."""
-    walked, rejection = [], None
+    walked, lists, rejection = [], {}, None
     private = FiniteGraph(graph.vertex_count, graph.edges)
     try:
-        for v, order, mapping in vertex_witnesses(private, target, radius):
+        for v, order, dist, nbrs, colors, mapping in vertex_witnesses(
+            private, target, radius
+        ):
             walked.append((v, tuple(order), mapping))
+            lists[v] = dist, nbrs, colors
     except NotAModelError as err:
         rejection = err.rejection
     assert (walked, rejection) == per_vertex_witnesses(graph, target, radius)
@@ -215,6 +220,10 @@ def assert_walk_matches_oracle(graph, target, radius):
         assert (like is None) == (own.profile != target.profile)
         if like is not None:
             assert like.colors == own.colors
+        if v in lists:
+            dist, nbrs, colors = lists[v]
+            assert tuple(dist) == ball.dist and colors == like.colors
+            assert tuple(tuple(sorted(ws)) for ws in nbrs) == ball.adjacency
     return rejection is None
 
 
@@ -348,6 +357,22 @@ def test_walk_builds_no_ball_object_per_vertex(z2_setup, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # fixing_radius
+
+
+def test_verify_model_grows_each_ball_once(z2_setup, monkeypatch):
+    engine, genset, _ = z2_setup
+    grow, grown = balls._grow, []
+
+    def counted(root, neighbours, radius, max_vertices):
+        grown.append(radius)
+        return grow(root, neighbours, radius, max_vertices)
+
+    for module in (balls, localmodel):
+        monkeypatch.setattr(module, "_grow", counted)
+    assert verify_model(torus_grid(9, 9), engine, genset, 3).accepted
+    # The target, one ball per vertex (vertex 0's also makes the witness's
+    # ball), and the connectivity search over all 81 vertices.
+    assert sorted(grown) == [3] * 82 + [81]
 
 
 def test_fixing_radius_line_never_pins(z_setup):

@@ -449,6 +449,9 @@ def test_reconstruct_flags_wrong_twist():
     assert res.violation.vertex == 0
     assert res.violation.relator.letters == ((2, 1), (0, 1), (3, 1), (1, 2))
     assert res.action is not None and res.r_prime is not None
+    assert res.to_jsonable()["violation"] == {
+        "relator": [[2, 1], [0, 1], [3, 1], [1, 2]], "vertex": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +669,25 @@ def test_reconstruct_builds_each_ball_once(monkeypatch):
     radii = sorted(args[2] for args in searches)
     assert r < n and radii == [r] * (n + 1) + [n]
     assert ball_objects == [] and keys == [] and verdicts == []
+
+
+@pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda f: f.name)
+def test_rigid_labels_stand_after_one_map(fx, monkeypatch):
+    # label_edges reruns vertex 0's search on the walk's lists: the cut to
+    # the LABEL_RADIUS prefix after its first map yields no second one.
+    # No automorphism scan runs, and no ball is grown past the walk's.
+    engine, genset, _, graph = full_cayley_graph(fx)
+    scans = count_calls(monkeypatch, iso, "automorphism_scan")
+    grown = count_calls(monkeypatch, balls, "_grow")
+    yielded = count_label_yields(monkeypatch)
+    assert isinstance(label_edges(graph, engine, genset, fx.rigid_radius), EdgeLabeling)
+    assert len(yielded) == 1 and scans == []
+    assert len(grown) == graph.vertex_count + 1
+
+
+def test_ambiguity_is_the_cut_search_alone(monkeypatch):
+    engine, genset, _ = f2_setup()
+    scans = count_calls(monkeypatch, iso, "automorphism_scan")
+    yielded = count_label_yields(monkeypatch)
+    assert isinstance(label_edges(pg23(), engine, genset, 2), AmbiguousLabeling)
+    assert len(yielded) == 2 and scans == []
