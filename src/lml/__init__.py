@@ -30,6 +30,7 @@ from .cosets import (
     SchreierGraph,
     SchreierRealization,
     WitnessReport,
+    bs_quotients,
     coset_genset,
     default_witness,
     enumerate_homs,

@@ -56,8 +56,6 @@ EXIT_RESOURCE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-_MAX_NODES_HELP = "cap on the coset-table entries the low-index search tries"
-
 # bytes per ball vertex assumed when translating LML_MAX_MEM into a cap
 _BYTES_PER_VERTEX = 500
 
@@ -369,7 +367,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-nodes", type=_cap, default=DEFAULT_MAX_NODES,
-                   help=_MAX_NODES_HELP)
+                   help="cap on the coset-table entries the low-index "
+                   "search tries")
     p.set_defaults(handler=cmd_quotients)
 
     p = sub.add_parser("witness", help="witness element report for BS(m, n)")
@@ -380,7 +379,8 @@ def build_parser():
     p.add_argument("--witness", help="explicit witness word over a, b")
     p.add_argument("--gcd-witness", action="store_true")
     p.add_argument("--max-nodes", type=_cap, default=DEFAULT_MAX_NODES,
-                   help=_MAX_NODES_HELP)
+                   help="cap on the coset-table entries built when "
+                   "gcd(m, n) = 1, else tried by the low-index search")
     p.add_argument("--max-vertices", type=_cap, dest="max_vertices")
     p.set_defaults(handler=cmd_witness)
 

@@ -12,9 +12,10 @@ graph, counting the loops and parallel edges it had to drop.
 enumerate_homs (Sims' low-index search, whose nodes only add entries, so
 each resumes its parent's stopped scans) lists the transitive degree-k
 permutation quotients as coset tables, one per conjugacy class of
-index-k subgroups.  witness_report bundles evidence that the witness
-element of BS(m, n) is nontrivial yet maps to the identity in every
-quotient of degree <= K (one search to degree K finds them all), with
+index-k subgroups; bs_quotients builds them for BS(m, n) with coprime
+m, n.  witness_report bundles evidence that the witness element of
+BS(m, n) is nontrivial yet maps to the identity in every quotient of
+degree <= K (built, or found by one search to degree K), with
 d(e, witness).
 """
 
@@ -30,6 +31,7 @@ from .words import (
     GenSet,
     ResourceLimitError,
     Word,
+    _check_bs,
     _distinct_keys,
     _perm_inverse,
     _word_permutation,
@@ -492,6 +494,40 @@ def enumerate_homs(presentation, k, max_nodes=DEFAULT_MAX_NODES):
             for images in sorted(_least_conjugates(found, k, max_nodes))]
 
 
+def _bs_pairs(m, n, k):
+    """bs_quotients' image pairs, one class at a time."""
+    for ell in range(1, k + 1):
+        if k % ell or math.gcd(ell, m * n) != 1:
+            continue
+        u = m * pow(n, -1, ell) % ell
+        g = math.gcd(ell, pow(u, k // ell, ell) - 1)
+        b = tuple([p - p % ell + (p + 1) % ell for p in range(k)])
+        seen = set()
+        for c in range(g):
+            if c in seen:
+                continue
+            seen.update([c * pow(u, i, g) % g for i in range(g)])
+            yield (tuple([(p + ell) % k - p % ell
+                          + (u * p + c * (p >= k - ell)) % ell
+                          for p in range(k)]), b)
+
+
+def bs_quotients(m, n, k):
+    """One (a, b) per class of transitive degree-k actions of BS(m, n),
+    gcd(m, n) = 1, built without a search and not relabelled: b's cycles
+    share one length ell prime to mn (Baumslag & Solitar 1962; Meskin
+    1972).  Point i * ell + x is x in block i; b is x -> x + 1, a maps
+    block i to i + 1 by x -> u x, u = m / n mod ell, adding C on the wrap
+    to block 0.  One class per orbit of x -> u x on C mod
+    gcd(ell, u^(k / ell) - 1), ell ascending, least C first."""
+    _check_bs(m, n)
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"gcd({m},{n}) != 1; no construction applies")
+    if k < 1:
+        raise ValueError("degree must be >= 1")
+    return list(_bs_pairs(m, n, k))
+
+
 # ---------------------------------------------------------------------------
 # the witness element and its quotient scan
 
@@ -568,8 +604,10 @@ def witness_report(m, n, max_degree, witness=None, gcd_witness=False,
     The witness must be nontrivial (checked via its canonical form before
     any scanning).  all_trivial records whether the witness image is the
     identity permutation under every hom of every degree 1..max_degree.
-    One low-index search to max_degree finds every degree's homs, and
-    hits max_nodes exactly when a search to some one degree would.
+    For gcd(m, n) = 1 the homs are bs_quotients', and max_nodes caps the
+    table entries they fill (2k per degree-k class); else one low-index
+    search to max_degree finds them, and hits max_nodes exactly when a
+    search to some one degree would.  Conjugation keeps the verdict.
     max_degree 0 is an empty scan.
     """
     if max_degree < 0:
@@ -580,7 +618,19 @@ def witness_report(m, n, max_degree, witness=None, gcd_witness=False,
     nf = engine.britton(witness)
     if nf.is_identity():
         raise ValueError("witness is trivial; nothing to scan")
-    found = _low_index(presentation, max_degree, max_nodes)
+    if math.gcd(m, n) > 1:
+        found = _low_index(presentation, max_degree, max_nodes)
+    else:
+        found, entries = [[] for _ in range(max_degree)], 0
+        for k, classes in enumerate(found, start=1):
+            for images in _bs_pairs(m, n, k):
+                if (entries := entries + 2 * k) > max_nodes:
+                    raise ResourceLimitError(
+                        f"BS({m}, {n}) quotient construction at degree {k} "
+                        f"reached max_nodes={max_nodes} table entries; "
+                        f"classes so far: {sum(map(len, found))}"
+                    )
+                classes.append(images)
     all_trivial = all(
         CosetTable(presentation.generators, k, images).permutation(witness)
         == tuple(range(k))

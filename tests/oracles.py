@@ -1,33 +1,40 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last ten
+Everything here is deliberately naive and, apart from the last eleven
 sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last ten keep an earlier
+algorithms, different representations.  The last eleven keep an earlier
 form of a package routine and call the package for everything else; the
-last five hold the finite-ball and connectivity searches from before
+last six hold the finite-ball and connectivity searches from before
 every ball was grown by one breadth-first search, the vertex walk from
 before it kept each vertex ball as plain lists, Todd-Coxeter from before
 it shared the low-index search's table and relator scan, the low-index
 search from before each node resumed its open relator scans and kept
-only its tied base points, and the Britton step from before each word
-was compiled into per-letter rules.  Speed only matters enough for the
-test sizes.
+only its tied base points, the Britton step from before each word was
+compiled into per-letter rules, and the witness report from before the
+quotients of BS(m, n) with coprime m, n were built rather than searched.
+Speed only matters enough for the test sizes.
 """
 
 import itertools
 
 from lml.balls import (
+    DEFAULT_MAX_VERTICES,
     RootedBall,
     cayley_ball,
+    distance,
     finite_ball,
     finite_ball_with_order,
     is_connected,
 )
 from lml.cosets import (
     DEFAULT_MAX_COSETS,
+    DEFAULT_MAX_NODES,
     CosetTable,
     IndexExceedsBound,
+    WitnessReport,
     _columns,
+    _low_index,
+    default_witness,
 )
 from lml.iso import (
     RootedIso,
@@ -48,7 +55,7 @@ from lml.reconstruct import (
     present_on_S,
     stabilizer,
 )
-from lml.words import ResourceLimitError, _perm_inverse, word
+from lml.words import ResourceLimitError, _perm_inverse, bs_s10_setup, word
 
 
 # ---------------------------------------------------------------------------
@@ -903,3 +910,43 @@ def loop_britton_step(key, w, m, n, a=0, b=1):
         else:
             raise ValueError(f"letter {g} outside the two-letter BS alphabet")
     return t0, tuple(stack)
+
+
+# ---------------------------------------------------------------------------
+# the witness report with every degree's quotients found by the search
+
+
+def searched_witness_report(m, n, max_degree, witness=None,
+                            gcd_witness=False, max_nodes=DEFAULT_MAX_NODES,
+                            max_explored=DEFAULT_MAX_VERTICES):
+    """cosets.witness_report as the package ran it before the quotients
+    of BS(m, n) with coprime m, n were built: one low-index search to
+    max_degree finds every degree's classes, whatever gcd(m, n) is.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    engine, s10, presentation = bs_s10_setup(m, n)
+    if witness is None:
+        witness = default_witness(m, n, gcd_witness)
+    nf = engine.britton(witness)
+    if nf.is_identity():
+        raise ValueError("witness is trivial; nothing to scan")
+    found = _low_index(presentation, max_degree, max_nodes)
+    all_trivial = all(
+        CosetTable(presentation.generators, k, images).permutation(witness)
+        == tuple(range(k))
+        for k, classes in enumerate(found, start=1) for images in classes
+    )
+    return WitnessReport(
+        m=m,
+        n=n,
+        witness=witness,
+        nontrivial=True,
+        britton_t0=nf.t0,
+        britton_syllables=nf.syllables,
+        max_degree=max_degree,
+        homs_found=sum(map(len, found)),
+        per_degree=tuple(enumerate(map(len, found), start=1)),
+        all_trivial=all_trivial,
+        distance=distance(engine, s10, witness, max_explored),
+    )

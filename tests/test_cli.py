@@ -558,17 +558,33 @@ def test_quotients_refuse_bs_parameters_below_one(capsys, m, n):
 
 
 def test_node_cap_covers_the_one_search_to_the_top_degree(capsys):
-    # BS(9, 10) tries 14,548 table entries to degree 7.
-    argv = ("witness", "--m", "9", "--n", "10", "--max-degree", "7")
-    code, out, err = run(capsys, *argv, "--max-nodes", "14547")
+    # The witness scan of BS(4, 6) searches: 2,669 table entries to
+    # degree 6.
+    argv = ("witness", "--m", "4", "--n", "6", "--gcd-witness",
+            "--max-degree", "6")
+    code, out, err = run(capsys, *argv, "--max-nodes", "2668")
     assert code == 2 and out == ""
     assert err.startswith(
-        "error: low-index search to degree 7 reached max_nodes=14547 table "
+        "error: low-index search to degree 6 reached max_nodes=2668 table "
         "entries; classes so far: "
     )
-    code, doc, _ = run_json(capsys, *argv, "--max-nodes", "14548")
+    code, doc, _ = run_json(capsys, *argv, "--max-nodes", "2669")
     assert code == 0
-    assert doc["quotient_scan"]["homs_found"] == 8
+    assert doc["quotient_scan"]["homs_found"] == 89
+
+
+def test_node_cap_stops_the_coprime_construction(capsys):
+    argv = ("witness", "--m", "9", "--n", "10", "--max-degree")
+    code, doc, _ = run_json(capsys, *argv, "60")
+    assert code == 0
+    assert doc["quotient_scan"]["all_trivial"] is True
+    assert doc["quotient_scan"]["per_degree"][9] == {"degree": 10, "classes": 1}
+    code, out, err = run(capsys, *argv, "100000")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: BS(9, 10) quotient construction at degree 811 reached "
+        "max_nodes=2000000 table entries; classes so far: 2259\n"
+    )
 
 
 def test_python_dash_m_runs_the_cli(capsys):

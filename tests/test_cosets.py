@@ -11,6 +11,7 @@ from oracles import (
     brute_least_conjugate,
     find_on_read_todd_coxeter,
     rescanning_low_index,
+    searched_witness_report,
 )
 
 from lml.cosets import (
@@ -19,6 +20,7 @@ from lml.cosets import (
     IndexExceedsBound,
     _least_conjugates,
     _low_index,
+    bs_quotients,
     default_witness,
     enumerate_homs,
     schreier_from_table,
@@ -400,24 +402,104 @@ NODES_BY_DEGREE = {
 @pytest.mark.parametrize("m, n", sorted(NODES_BY_DEGREE))
 def test_cap_fails_exactly_below_the_node_count(m, n):
     pres = bs_presentation(m, n)
-    # A witness scan to degree k passes exactly when every degree <= k
-    # would pass alone, that is from the degree-k count on.
     for k, nodes in enumerate(NODES_BY_DEGREE[(m, n)], start=1):
         assert len(enumerate_homs(pres, k, max_nodes=nodes)) >= 1
-        assert witness_report(m, n, k, max_nodes=nodes).all_trivial
         with pytest.raises(ResourceLimitError):
             enumerate_homs(pres, k, max_nodes=nodes - 1)
+
+
+# The same for the witness scan of BS(4, 6), which still searches, as
+# gcd(4, 6) = 2 leaves no construction.
+GCD_WITNESS_NODES = (2, 11, 49, 196, 727, 2669)
+
+
+def test_searched_witness_cap_fails_exactly_below_the_node_count():
+    # A witness scan to degree k passes exactly when every degree <= k
+    # would pass alone, that is from the degree-k count on.
+    for k, nodes in enumerate(GCD_WITNESS_NODES, start=1):
+        assert witness_report(4, 6, k, gcd_witness=True,
+                              max_nodes=nodes).all_trivial
         with pytest.raises(ResourceLimitError):
-            witness_report(m, n, k, max_nodes=nodes - 1)
+            witness_report(4, 6, k, gcd_witness=True, max_nodes=nodes - 1)
 
 
 def test_cap_message_names_the_top_degree_and_counts_by_degree():
     with pytest.raises(ResourceLimitError) as info:
-        witness_report(9, 10, 6, max_nodes=2579)
+        witness_report(4, 6, 6, gcd_witness=True, max_nodes=2668)
     assert str(info.value) == (
-        "low-index search to degree 6 reached max_nodes=2579 table entries; "
-        "classes so far: 5 (by degree: 0, 1, 1, 1, 1, 1)"
+        "low-index search to degree 6 reached max_nodes=2668 table entries; "
+        "classes so far: 83 (by degree: 0, 2, 2, 9, 15, 55)"
     )
+
+
+def test_coprime_witness_scan_builds_its_quotients_without_the_search():
+    # The search to degree 7 tries 14,548 table entries; the construction
+    # writes 2k per degree-k class: 2 + 4 + ... + 12 + 2 * 14 = 70.
+    rep = witness_report(9, 10, 7, max_nodes=14_547)
+    assert rep.per_degree == tuple((k, 1) for k in range(1, 7)) + ((7, 2),)
+    assert rep.all_trivial
+    assert witness_report(9, 10, 7, max_nodes=70) == rep
+    with pytest.raises(ResourceLimitError) as info:
+        witness_report(9, 10, 7, max_nodes=69)
+    assert str(info.value) == (
+        "BS(9, 10) quotient construction at degree 7 reached max_nodes=69 "
+        "table entries; classes so far: 7"
+    )
+
+
+# The coprime pairs the construction is checked on at every degree <= 7.
+CONSTRUCTED_PAIRS = (
+    (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (2, 9),
+    (3, 4), (3, 5), (3, 7), (4, 5), (5, 6), (5, 7), (7, 8), (9, 10),
+)
+
+
+@pytest.mark.parametrize("m, n", CONSTRUCTED_PAIRS)
+def test_bs_quotients_relabel_onto_the_searched_classes(m, n):
+    pres = bs_presentation(m, n)
+    found = _low_index(pres, 7, DEFAULT_MAX_NODES)
+    for k, classes in enumerate(found, start=1):
+        built = bs_quotients(m, n, k)
+        assert len(built) == len(classes)
+        assert (sorted(_least_conjugates(built, k, DEFAULT_MAX_NODES))
+                == sorted(_least_conjugates(classes, k, DEFAULT_MAX_NODES)))
+
+
+def test_bs_quotients_argument_checks():
+    with pytest.raises(ValueError, match="gcd"):
+        bs_quotients(2, 4, 2)
+    with pytest.raises(ValueError, match="degree"):
+        bs_quotients(2, 3, 0)
+    with pytest.raises(ValueError, match="positive"):
+        bs_quotients(-3, 10, 2)
+
+
+def test_bs_quotients_in_their_built_order():
+    # BS(2, 3) at degree 5: b trivial with a a 5-cycle, then one 5-cycle
+    # of b, with a acting by x -> 4x, u = 2 / 3 mod 5.
+    assert bs_quotients(2, 3, 5) == [
+        ((1, 2, 3, 4, 0), (0, 1, 2, 3, 4)),
+        ((0, 4, 3, 2, 1), (1, 2, 3, 4, 0)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_witness_report_matches_the_searched_scan(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        m, n = rng.choice(CONSTRUCTED_PAIRS)
+        witness = word(tuple((rng.randrange(2), rng.choice((-2, -1, 1, 2)))
+                             for _ in range(rng.randint(1, 8))))
+        k = rng.randint(0, 6)
+        try:
+            want = searched_witness_report(m, n, k, witness=witness)
+        except ValueError:  # a trivial witness
+            with pytest.raises(ValueError, match="trivial"):
+                witness_report(m, n, k, witness=witness)
+            continue
+        got = witness_report(m, n, k, witness=witness)
+        assert (json.dumps(got.to_jsonable(), sort_keys=True)
+                == json.dumps(want.to_jsonable(), sort_keys=True))
 
 
 def test_hom_payloads():

@@ -9,9 +9,13 @@ their layout and checked against the one-loop step on lists, and the
 permutation stepper against one composition.
 The relabelling is checked against the k! loop it replaced, todd_coxeter's
 index against sympy's coset enumeration, its whole table against the
-list-of-lists enumeration it replaced, and the low-index search against
-the one that rescanned every relator from every coset at every node.
+list-of-lists enumeration it replaced, the low-index search against
+the one that rescanned every relator from every coset at every node,
+and the built quotients of BS(m, n) with coprime m, n against the
+classes the low-index search finds.
 """
+
+import math
 
 import pytest
 
@@ -30,9 +34,12 @@ from oracles import (
 
 from lml.cosets import (
     DEFAULT_MAX_NODES,
+    CosetTable,
     IndexExceedsBound,
     _least_conjugates,
     _low_index,
+    bs_quotients,
+    enumerate_homs,
     todd_coxeter,
 )
 from lml.words import (
@@ -40,6 +47,7 @@ from lml.words import (
     FinitePermutationEngine,
     Presentation,
     ResourceLimitError,
+    bs_presentation,
     britton_normal_form,
     concat,
     _perm_compose,
@@ -288,3 +296,26 @@ def test_low_index_matches_the_rescanning_search(case):
     # counts so far depend on the depth-first order.
     assert (quotient_search(_low_index, *case)
             == quotient_search(rescanning_low_index, *case))
+
+
+coprime_pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+    lambda pair: math.gcd(*pair) == 1
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_pairs, st.integers(1, 6))
+def test_bs_quotients_are_the_classes_the_search_finds(pair, k):
+    m, n = pair
+    pres = bs_presentation(m, n)
+    built = bs_quotients(m, n, k)
+    for images in built:
+        table = CosetTable(pres.generators, k, images)
+        assert table.permutation(pres.relators[0]) == tuple(range(k))
+        reached = {0}
+        for _ in range(k):
+            reached |= {p[x] for p in images for x in reached}
+        assert reached == set(range(k))
+    assert sorted(_least_conjugates(built, k, DEFAULT_MAX_NODES)) == [
+        h.forward for h in enumerate_homs(pres, k)
+    ]
