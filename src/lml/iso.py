@@ -4,17 +4,17 @@ Rooted isomorphisms preserve the root and therefore distance from it, so
 the search only ever matches vertices of equal refined color, where colors
 start at (distance, degree) and are refined by neighbor color multisets
 until a round splits no color or leaves every color a single vertex.
-The searches and canonical_key take a ball or its PreparedBall.  A search
-refines its source in prepare's like mode, by lookups in the prepared
-target's code tables: that gives the source's own colors exactly, or
-rejects the pair before any search.  Like mode keys a neighbor multiset
-by the sum of base**code over it, base one more than the target's top
-degree: exact, as round 0 has found every degree in the target, so every
-multiplicity is below base.  The vertex walk of localmodel runs _refine,
-_search and _check_iso on each ball's plain distance and neighbor lists,
-with no ball object.  _search walks the search tree of McKay and Piperno
-(2014) lazily: k sent after a yield cuts its stack to k frames, so the
-next yield is the lex-first map differing from the last on their vertices.
+One matcher, _matches, serves the vertex walk of localmodel, the ambiguity
+cut of reconstruct and the public calls, which take a ball or its
+PreparedBall.  It takes a ball as plain distance and neighbor lists and
+refines them in like mode, by lookups in the prepared target's code
+tables: that gives the source's own colors exactly, or rejects the pair
+before any search.  Like mode keys a neighbor multiset by the sum of
+base**code over it, base one more than the target's top degree: exact, as
+round 0 has found every degree in the target, so every multiplicity is
+below base.  _search walks the search tree of McKay and Piperno (2014)
+lazily: k sent after a yield cuts its stack to k frames, so the next yield
+is the lex-first map differing from the last on their vertices.
 
 An automorphism probe stops at identity completion: once the images of
 0..j-1 are exactly {0..j-1} and each moved u < j (image not u) has its
@@ -72,8 +72,9 @@ class PreparedBall:
     """A ball, its refined color codes, and its profile: the signature set
     of each refinement round plus the cell sizes, equal for isomorphic
     balls.  Made on first read: cells[c] lists the vertices of color c in
-    ascending order, masks[v] is the neighbor bitmask of v, and tables[i]
-    pairs the codes of round i's like-mode keys with base**code per code.
+    ascending order, discrete[c] is its vertex if all cells are single
+    (else discrete is None), masks[v] is the neighbor bitmask of v, and
+    tables[i] pairs the codes of round i's like-mode keys with base**code.
     """
 
     ball: object
@@ -86,6 +87,10 @@ class PreparedBall:
         for v, c in enumerate(self.colors):
             cells[c].append(v)
         return cells
+
+    @cached_property
+    def discrete(self):
+        return [c[0] for c in self.cells] if len(self.cells) == len(self.colors) else None
 
     @cached_property
     def masks(self):
@@ -104,7 +109,14 @@ class PreparedBall:
 
 
 def _refine(dist, nbrs, like=None):
-    """prepare's (colors, profile), or None, for a ball given as lists."""
+    """prepare's (colors, profile), or None, for a ball given as lists.
+
+    With like, a PreparedBall, each of like's rounds looks the signatures
+    up in like's table: None if one is missing or the final cell sizes
+    differ, else the ball's own refinement.  A code's signature leads with
+    the previous code, so equal final cell sizes use every code of every
+    round of like, and the ball's own signature sets are like's.
+    """
     sigs = list(zip(dist, map(len, nbrs)))
     rounds = like.profile[0] if like else []
     for i in count():
@@ -131,25 +143,17 @@ def _refine(dist, nbrs, like=None):
     return None if like and profile != like.profile else (colors, profile)
 
 
-def prepare(ball, like=None):
-    """Refine one ball for the searches; a PreparedBall is returned as is,
-    or None if like is given and its profile is not like's.
+def prepare(ball):
+    """Refine one ball for the searches; a PreparedBall is returned as is.
 
     Codes are ranked by sorted signature each round, so isomorphic balls
     get identical codes without being refined together; a round that
     splits no color (its codes are the old colors), or that leaves every
     color a single vertex, ends the refinement.
-    With like, a PreparedBall, each of like's rounds, the last included,
-    looks the signatures up in like's table instead: None if one is
-    missing or the final cell sizes differ, else prepare(ball) exactly.
-    A code's signature leads with the previous code, so all rounds' colors
-    follow from the final ones: equal final cell sizes use every code of
-    every round of like, so the ball's own signature sets are like's.
     """
     if isinstance(ball, PreparedBall):
-        return ball if like is None or ball.profile == like.profile else None
-    refined = _refine(ball.dist, ball.adjacency, like)
-    return refined and PreparedBall(ball, *refined)
+        return ball
+    return PreparedBall(ball, *_refine(ball.dist, ball.adjacency))
 
 
 def _search(colors, nbrs, p2, probe=None):
@@ -164,9 +168,6 @@ def _search(colors, nbrs, p2, probe=None):
     vertex that misses its image.  send(k) after a yield keeps k frames.
     """
     n = len(colors)
-    if n == 0:
-        yield ()
-        return
     cells2, adj2 = p2.cells, p2.masks
     base, only = probe or (0, None)
     mapping = list(range(n))
@@ -199,23 +200,44 @@ def _search(colors, nbrs, p2, probe=None):
             stack.append((iter(cells2[colors[j]]), used, required, reach))
 
 
+def _matches(dist, nbrs, target):
+    """Rooted isomorphisms of a ball given as lists onto the prepared
+    target, in lex order, with _search's send(k) cut.  A discrete target's
+    one candidate is read off the colors, with no search, and is no match
+    if _check_iso rejects it; a searched first map that it rejects raises."""
+    refined = _refine(dist, nbrs, like=target)
+    if refined and target.discrete is not None:
+        m = tuple(map(target.discrete.__getitem__, refined[0]))
+        try:
+            _check_iso(dist, nbrs, target.ball, m)
+        except ValueError:
+            return
+        yield m
+    elif refined:
+        isos = _search(refined[0], nbrs, target)
+        m = next(isos, None)
+        if m is not None:
+            _check_iso(dist, nbrs, target.ball, m)
+        while m is not None:
+            try:
+                m = isos.send((yield m))
+            except StopIteration:
+                return
+
+
 def rooted_isomorphisms(b1, b2):
     """All rooted isomorphisms b1 -> b2, in deterministic (lex) order."""
     p2 = prepare(b2)
-    p1 = prepare(b1, like=p2)
-    found = _search(p1.colors, p1.ball.adjacency, p2) if p1 else ()
-    out = [RootedIso(p1.ball, p2.ball, m) for m in found]
-    if out:
-        out[0].validate()
-    return out
+    b1 = b1.ball if isinstance(b1, PreparedBall) else b1
+    return [RootedIso(b1, p2.ball, m) for m in _matches(b1.dist, b1.adjacency, p2)]
 
 
 def first_rooted_isomorphism(b1, b2):
     """One witness isomorphism, or None; early-exits the search."""
     p2 = prepare(b2)
-    p1 = prepare(b1, like=p2)
-    res = next(_search(p1.colors, p1.ball.adjacency, p2), None) if p1 else None
-    return None if res is None else RootedIso(p1.ball, p2.ball, res).validate()
+    b1 = b1.ball if isinstance(b1, PreparedBall) else b1
+    m = next(_matches(b1.dist, b1.adjacency, p2), None)
+    return None if m is None else RootedIso(b1, p2.ball, m)
 
 
 def _twins(masks, u, v):

@@ -2,7 +2,7 @@
 
 verify_model checks that every vertex of a finite graph sees, at the given
 radius, exactly the ball around the identity in Cay(engine, S), with one
-isomorphism search per vertex against the identity ball (vertex_witnesses,
+isomorphism match per vertex against the identity ball (vertex_witnesses,
 shared with edge labeling).  fixing_radius scans outward for the radius at
 which every rooted ball automorphism pins the inner ball pointwise.
 """
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .balls import (
     DEFAULT_MAX_VERTICES, FiniteGraph, RootedBall, _edges, _grow, cayley_ball, is_connected,
 )
-from .iso import (
-    RootedIso, _check_iso, _refine, _search, automorphism_scan, canonical_key, prepare,
-)
+from .iso import RootedIso, _matches, automorphism_scan, canonical_key, prepare
 from .words import LmlError
 
 
@@ -72,41 +70,25 @@ class ModelVerdict:
 def vertex_witnesses(graph, target, radius):
     """Match each vertex ball against the prepared target, in vertex order.
 
-    Yields (vertex, order, dist, nbrs, colors, mapping): order[ball vertex]
-    is the graph vertex, dist, nbrs and colors the ball's distances,
-    neighbour lists and refined colors, and mapping the lex-first rooted
-    isomorphism from the ball onto the target.  Raises NotAModelError at
-    the first vertex whose ball does not match.  A ball stays the lists of
-    one breadth-first search over graph.adjacency (cached on graph, so
-    pass a private copy): it is refined like the target, searched and
-    checked with no ball object.
-    When every color of the target is a single vertex, the witness is read
-    off the ball's colors, color c to c's vertex, with no search: it is the
-    only candidate, and _check_iso decides whether it is an isomorphism.
+    Yields (vertex, order, dist, nbrs, isos, mapping): order[ball vertex]
+    is the graph vertex, dist and nbrs the ball's distances and neighbour
+    lists, and mapping the first map of isos, the ball's live iso._matches
+    generator.  Raises NotAModelError at the first vertex whose ball does
+    not match.  A ball stays the lists of one breadth-first search over
+    graph.adjacency (cached on graph, so pass a private copy).
     """
     adjacency, n = graph.adjacency.__getitem__, graph.vertex_count
-    cells = target.cells
-    single = [cell[0] for cell in cells] if all(len(c) == 1 for c in cells) else None
     for v in range(n):
         order, dist, nbrs = _grow(v, adjacency, radius, n)
-        refined = _refine(dist, nbrs, like=target)
-        if refined and single:
-            found = tuple(map(single.__getitem__, refined[0]))
-            try:
-                _check_iso(dist, nbrs, target.ball, found)
-            except ValueError:
-                found = None
-        else:
-            found = refined and next(_search(refined[0], nbrs, target), None)
-            if found:
-                _check_iso(dist, nbrs, target.ball, found)
-        if not found:
+        isos = _matches(dist, nbrs, target)
+        mapping = next(isos, None)
+        if mapping is None:
             raise NotAModelError((
                 v,
                 f"ball at vertex {v} is not rooted-isomorphic to the "
                 f"radius-{radius} ball at the identity",
             ))
-        yield v, order, dist, nbrs, refined[0], found
+        yield v, order, dist, nbrs, isos, mapping
 
 
 def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
@@ -114,7 +96,7 @@ def verify_model(graph, engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICE
 
     Accepts iff the ball at every vertex is rooted-isomorphic to the ball
     around the identity.  Connectivity is reported, never required.  The
-    identity ball is refined once and every vertex ball is searched
+    identity ball is refined once and every vertex ball is matched
     against it in vertex order, stopping at the first that fails, so the
     only class ever reported is the target's: its canonical key, vertex 0
     as representative, and the lex-first isomorphism as witness.  The walk

@@ -20,7 +20,7 @@ from .balls import (
     DEFAULT_MAX_VERTICES, FiniteGraph, RootedBall, _edges, cayley_ball, distance, is_connected,
 )
 from .cosets import SchreierGraph
-from .iso import RootedIso, _search, prepare
+from .iso import RootedIso, prepare
 from .localmodel import NotAModelError, vertex_witnesses
 from .words import LmlError, Word, _word_permutation, concat, free_reduce, invert, word
 
@@ -127,10 +127,10 @@ def label_edges(graph, engine, genset, radius,
     the first ball that does not match) and labels edge (v, w) by the s
     with phi_v(w) = s, phi_v being the lex-first isomorphism onto the
     identity ball.  Two such isomorphisms differ by an automorphism of the
-    identity ball, so one search decides for every vertex whether they
-    agree within LABEL_RADIUS: vertex 0's, on the walk's lists, cut after
-    its first map to the LABEL_RADIUS prefix.  A second map, the next in
-    lex order that moves that ball, is reported as AmbiguousLabeling.  The
+    identity ball, so one matcher decides for every vertex whether they
+    agree within LABEL_RADIUS: vertex 0's, the walk's own, cut after its
+    first map to the LABEL_RADIUS prefix.  A second map, the next in lex
+    order that moves that ball, is reported as AmbiguousLabeling.  The
     reverse edge must carry the paired inverse letter (LabelInconsistency
     otherwise).  The walk caches an adjacency on graph; reconstruct hands
     it a private copy.
@@ -141,21 +141,19 @@ def label_edges(graph, engine, genset, radius,
         raise ValueError("graph has no vertices")
     target = prepare(cayley_ball(engine, genset, radius, max_vertices))
     labels = {}
-    for v, order, dist, nbrs, colors, mapping in vertex_witnesses(graph, target, radius):
+    for v, order, dist, nbrs, isos, mapping in vertex_witnesses(graph, target, radius):
         if v == 0:
-            root = dist, nbrs, colors
+            root = dist, nbrs, isos, mapping
         # The root's neighbours are ball vertices 1..deg(v), and the
         # identity ball numbers S-letter i as vertex i + 1.
         for x in range(1, graph.degree(v) + 1):
             labels[(v, order[x])] = mapping[x] - 1
-    dist, nbrs, colors = root
-    isos = _search(colors, nbrs, target)
-    first = next(isos)
+    dist, nbrs, isos, first = root
     try:
         second = isos.send(sum(d <= LABEL_RADIUS for d in dist))
     except StopIteration:  # every map agrees within LABEL_RADIUS
-        second = None
-    if second is not None:
+        pass
+    else:
         ball = RootedBall(len(dist), radius, dist, _edges(nbrs))
         return AmbiguousLabeling(0, RootedIso(ball, target.ball, first),
                                  RootedIso(ball, target.ball, second))
@@ -266,17 +264,15 @@ class RelatorViolation:
                 "vertex": self.vertex}
 
 
-def check_factors(action, relators, pairing=None):
+def check_factors(action, relators, pairing):
     """True iff every relator acts as the identity on every vertex.
 
     Returns the first RelatorViolation otherwise (relator order, then
-    vertex order).  Negative exponents need the inverse pairing.
+    vertex order).  A negative exponent acts by the paired inverse letter.
     """
     n, sigma = action.vertex_count, action.sigma
-    inverses = None if pairing is None else [sigma[j] for j in pairing]
+    inverses = [sigma[j] for j in pairing]
     for rel in relators:
-        if inverses is None and any(e < 0 for _, e in rel.letters):
-            raise ValueError("negative exponent needs the inverse pairing")
         perm = _word_permutation(rel, n, sigma, inverses)
         for v, x in enumerate(perm):
             if x != v:
@@ -389,8 +385,6 @@ def reconstruct(graph, engine, genset, presentation, radius,
     transitive because the graph is connected).  Labeling and the
     connectivity test share one private copy of the graph.
     """
-    if radius < 1:
-        raise ValueError("reconstruction needs radius >= 1")
     graph = FiniteGraph(graph.vertex_count, graph.edges)
     try:
         labeled = label_edges(graph, engine, genset, radius, max_vertices)

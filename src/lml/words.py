@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 
+DEFAULT_TABLE_CAP = 1_000_000  # FinitePermutationEngine's table, in group elements
+
 
 class LmlError(Exception):
     """Base class for this package's errors."""
@@ -460,7 +462,7 @@ class FinitePermutationEngine(GroupEngine):
 
     kind = "perm"
 
-    def __init__(self, alphabet, images, table_cap=1_000_000):
+    def __init__(self, alphabet, images):
         self.alphabet = tuple(alphabet)
         self.images = tuple(tuple(p) for p in images)
         if len(self.images) != len(self.alphabet):
@@ -474,7 +476,6 @@ class FinitePermutationEngine(GroupEngine):
         self.degree = degree
         self.identity = tuple(range(degree))
         self._inverses = tuple(_perm_inverse(p) for p in self.images)
-        self._table_cap = table_cap
 
     def permutation(self, w):
         return _word_permutation(w, self.degree, self.images, self._inverses)
@@ -500,9 +501,9 @@ class FinitePermutationEngine(GroupEngine):
                 for letter, step in steps:
                     q = step(p)
                     if q not in table:
-                        if len(table) >= self._table_cap:
+                        if len(table) >= DEFAULT_TABLE_CAP:
                             raise ResourceLimitError(
-                                f"group exceeds table cap {self._table_cap}"
+                                f"group exceeds table cap {DEFAULT_TABLE_CAP}"
                             )
                         table[q] = base + (letter,)
                         nxt.append(q)

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from lml.balls import FiniteGraph
 from lml.words import (
     FinitePermutationEngine,
     FreeAbelianEngine,
@@ -106,3 +107,22 @@ ROUND_TRIP_FIXTURES = (
 @pytest.fixture(scope="session", params=ROUND_TRIP_FIXTURES, ids=lambda f: f.name)
 def group_fixture(request):
     return request.param
+
+
+# Two edges of each rigid group ball, by (name, radius), whose swap keeps
+# every color of the discrete ball: like-mode refinement passes the
+# swapped ball, and only the isomorphism check rejects it.
+COLOR_BLIND_SWAPS = {
+    ("S4", 2): (((1, 7), (3, 9)), ((1, 9), (3, 7))),
+    ("S4", 3): (((1, 2), (3, 5)), ((1, 3), (2, 5))),
+    ("F21", 2): (((5, 6), (7, 8)), ((5, 7), (6, 8))),
+    ("F21", 3): (((5, 6), (7, 8)), ((5, 7), (6, 8))),
+    ("F42", 2): (((7, 20), (8, 18)), ((7, 8), (18, 20))),
+    ("F42", 3): (((1, 8), (3, 20)), ((1, 20), (3, 8))),
+}
+
+
+def swapped(graph, old, new):
+    """graph with the edges old replaced by the edges new."""
+    edges = (set(graph.edges) - set(old)) | set(new)
+    return FiniteGraph(graph.vertex_count, tuple(sorted(edges)))

@@ -340,12 +340,11 @@ def test_distance_equals_ball_dist_on_s10_radius_3(bs_setup):
         assert distance(engine, genset, lbl) == ball.dist[v]
 
 
-def test_distance_on_permutations_builds_no_group_table():
-    # S12 has 12! elements, far past table_cap; distance needs only keys.
+def test_distance_on_permutations_builds_no_group_table(monkeypatch):
+    # S12 has 12! elements, far past the table cap; distance needs only keys.
+    monkeypatch.setattr("lml.words.DEFAULT_TABLE_CAP", 100)
     cycle = tuple(range(1, 12)) + (0,)
-    eng = FinitePermutationEngine(
-        AB, ((1, 0) + tuple(range(2, 12)), cycle), table_cap=100
-    )
+    eng = FinitePermutationEngine(AB, ((1, 0) + tuple(range(2, 12)), cycle))
     gs = validate_genset(eng, [wd("a"), wd("b"), wd("b^-1")])
     target = wd("a b a b^-1 a b^3")
     # breadth-first search over plain permutation tuples as the oracle
@@ -365,12 +364,11 @@ def test_distance_on_permutations_builds_no_group_table():
         eng.order()
 
 
-def test_permutation_ball_labels_only_when_read():
+def test_permutation_ball_labels_only_when_read(monkeypatch):
     # The ball steps on permutations; only its labels need the S12 table.
+    monkeypatch.setattr("lml.words.DEFAULT_TABLE_CAP", 100)
     cycle = tuple(range(1, 12)) + (0,)
-    eng = FinitePermutationEngine(
-        AB, ((1, 0) + tuple(range(2, 12)), cycle), table_cap=100
-    )
+    eng = FinitePermutationEngine(AB, ((1, 0) + tuple(range(2, 12)), cycle))
     gs = validate_genset(eng, [wd("a"), wd("b"), wd("b^-1")])
     ball = cayley_ball(eng, gs, 2)
     assert sphere_sizes(ball) == (1, 3, 6)

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from conftest import ROUND_TRIP_FIXTURES
+from conftest import COLOR_BLIND_SWAPS, ROUND_TRIP_FIXTURES, swapped
 from oracles import (
     brute_rooted_isomorphisms,
     forced_prefix_automorphism_scan,
@@ -168,6 +168,51 @@ def test_layered_oracle_agrees_on_lattice_balls():
     assert got == layered_rooted_isomorphisms(b, b)
     # Rooted automorphisms of the r=2 diamond: the dihedral symmetries.
     assert len(got) == 8
+
+
+@pytest.mark.parametrize("radius", (2, 3))
+def test_discrete_targets_read_the_map_off_the_colors(group_fixture, radius, monkeypatch):
+    ball = cayley_ball(group_fixture.engine(), group_fixture.genset(), radius)
+    target = prepare(ball)
+    assert target.discrete
+    rng = random.Random(radius)
+    swap = COLOR_BLIND_SWAPS[group_fixture.name, radius]
+    blind = finite_ball(swapped(ball, *swap), 0, radius)
+    assert iso._refine(blind.dist, blind.adjacency, like=target) is not None
+    sources = [ball, relabeled_copy(ball, rng), blind, relabeled_copy(blind, rng)]
+    while len(sources) < 24:
+        (a, b), (c, d) = rng.sample(ball.edges, 2)
+        new = ((min(a, d), max(a, d)), (min(b, c), max(b, c)))
+        if len({a, b, c, d}) == 4 and not set(new) & set(ball.edges):
+            near = finite_ball(swapped(ball, ((a, b), (c, d)), new), 0, radius)
+            if near.vertex_count == ball.vertex_count:
+                sources.append(near)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a discrete target")
+
+    monkeypatch.setattr(iso, "_search", no_search)
+    matched = []
+    for source in sources:
+        # The balls have 14 to 41 vertices, too many to try every bijection.
+        want = layered_rooted_isomorphisms(source, ball)
+        assert [phi.mapping for phi in rooted_isomorphisms(source, target)] == want
+        one = first_rooted_isomorphism(source, target)
+        assert (one and one.mapping) == (want[0] if want else None)
+        matched.append(bool(want))
+    assert matched[:4] == [True, True, False, False]
+
+
+def test_a_searched_map_that_fails_the_check_raises(monkeypatch):
+    # Only a faulty search yields a map that is no isomorphism.  The
+    # matcher checks a searched first map and raises rather than report it;
+    # a read-off map that fails is no match instead (test above).
+    ball = z2_ball(2)
+    n = ball.vertex_count
+    wrong = (0, n - 1) + tuple(range(2, n - 1)) + (1,)
+    monkeypatch.setattr(iso, "_search", lambda *args: iter([wrong]))
+    with pytest.raises(ValueError, match="distance not preserved"):
+        first_rooted_isomorphism(ball, ball)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +501,12 @@ def test_like_mode_equals_own_refinement(bs_setup):
     matched = 0
     for b, mine in zip(balls, own):
         for p in own:
-            got = prepare(b, like=p)
+            got = iso._refine(b.dist, b.adjacency, like=p)
             if mine.profile != p.profile:
                 assert got is None
             else:
                 matched += 1
-                assert got.colors == mine.colors
-                assert got.profile == mine.profile and got.ball is b
+                assert got == (mine.colors, mine.profile)
     assert matched > len(balls)
     # The lookup tables are made for like only when a search reads them.
     p = prepare(balls[0])
@@ -475,8 +519,8 @@ def test_like_mode_equals_own_refinement(bs_setup):
 
 def test_vertex_ball_search_reads_no_source_masks():
     target = prepare(z2_ball(3))
-    source = prepare(finite_ball(torus_grid(9, 9), 40, 3), like=target)
-    assert source is not None
+    ball = finite_ball(torus_grid(9, 9), 40, 3)
+    source = iso.PreparedBall(ball, *iso._refine(ball.dist, ball.adjacency, like=target))
     assert next(iso._search(source.colors, source.ball.adjacency, target), None)
     assert "masks" not in vars(source) and "masks" in vars(target)
 
@@ -501,7 +545,7 @@ def test_near_miss_is_rejected_before_any_search(bs_setup, monkeypatch):
     moved = RootedBall(ball.vertex_count, 3, dist, tuple(edges))
     assert prepare(moved).profile[0][0] == target.profile[0][0]
     assert prepare(moved).profile != target.profile
-    assert prepare(moved, like=target) is None
+    assert iso._refine(moved.dist, moved.adjacency, like=target) is None
 
     def no_search(*args, **kwargs):
         raise AssertionError("searched a pair the refinement tells apart")
@@ -573,10 +617,8 @@ def free_ball(r):
 
 
 def cut_second(b1, b2, k):
-    """What the search yields after its first map once cut to k frames."""
-    p2 = prepare(b2)
-    p1 = prepare(b1, like=p2)
-    isos = iso._search(p1.colors, p1.ball.adjacency, p2)
+    """What the matcher yields after its first map once cut to k frames."""
+    isos = iso._matches(b1.dist, b1.adjacency, prepare(b2))
     next(isos)
     try:
         return isos.send(k)

@@ -4,10 +4,10 @@ import json
 import random
 
 import pytest
-from conftest import ROUND_TRIP_FIXTURES
-from oracles import classify_verify_model, per_vertex_witnesses
+from conftest import COLOR_BLIND_SWAPS, ROUND_TRIP_FIXTURES, swapped
+from oracles import classify_verify_model, layered_rooted_isomorphisms, per_vertex_witnesses
 
-from lml import balls, localmodel
+from lml import balls, iso, localmodel
 from lml.balls import FiniteGraph, RootedBall, cayley_ball, distance, finite_ball
 from lml.cosets import default_witness
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
@@ -200,41 +200,38 @@ def test_verify_model_respects_vertex_cap(bs_setup):
 
 def assert_walk_matches_oracle(graph, target, radius):
     """Same (vertex, order, mapping) triples and the same rejection as the
-    per-vertex oracle, and each matched ball's yielded lists and colors are
-    its ball object's; and at every vertex, the integer-keyed refinement
-    against the target agrees with the ball's own tuple-keyed one."""
+    per-vertex oracle; each matched ball's yielded lists are its ball
+    object's, and its map and the next one its live matcher yields are the
+    ball's first two isomorphisms in lex order; and at every vertex, the
+    integer-keyed refinement against the target agrees with the ball's own
+    tuple-keyed one."""
     walked, lists, rejection = [], {}, None
     private = FiniteGraph(graph.vertex_count, graph.edges)
     try:
-        for v, order, dist, nbrs, colors, mapping in vertex_witnesses(
+        for v, order, dist, nbrs, isos, mapping in vertex_witnesses(
             private, target, radius
         ):
             walked.append((v, tuple(order), mapping))
-            lists[v] = dist, nbrs, colors
+            lists[v] = dist, nbrs, [mapping, next(isos, None)]
     except NotAModelError as err:
         rejection = err.rejection
     assert (walked, rejection) == per_vertex_witnesses(graph, target, radius)
     for v in range(graph.vertex_count):
         ball = finite_ball(graph, v, radius)
-        own, like = prepare(ball), prepare(ball, like=target)
+        own, like = prepare(ball), iso._refine(ball.dist, ball.adjacency, like=target)
         assert (like is None) == (own.profile != target.profile)
         if like is not None:
-            assert like.colors == own.colors
+            assert like == (own.colors, own.profile)
         if v in lists:
-            dist, nbrs, colors = lists[v]
-            assert tuple(dist) == ball.dist and colors == like.colors
+            dist, nbrs, maps = lists[v]
+            assert tuple(dist) == ball.dist
             assert tuple(tuple(sorted(ws)) for ws in nbrs) == ball.adjacency
+            assert maps == (layered_rooted_isomorphisms(ball, target.ball) + [None])[:2]
     return rejection is None
 
 
 def is_discrete(target):
     return all(len(cell) == 1 for cell in target.cells)
-
-
-def swapped(graph, old, new):
-    """graph with the edges old replaced by the edges new."""
-    edges = (set(graph.edges) - set(old)) | set(new)
-    return FiniteGraph(graph.vertex_count, tuple(sorted(edges)))
 
 
 def test_walk_matches_oracle_on_random_graphs():
@@ -281,7 +278,8 @@ def test_walk_rejects_a_degree_the_target_lacks():
     graph = FiniteGraph(13, cycle_graph(12).edges + ((5, 12), (6, 12), (7, 12)))
     assert not assert_walk_matches_oracle(graph, target, 2)
     assert per_vertex_witnesses(graph, target, 2)[1][0] == 4
-    assert prepare(finite_ball(graph, 4, 2), like=target) is None
+    ball = finite_ball(graph, 4, 2)
+    assert iso._refine(ball.dist, ball.adjacency, like=target) is None
 
 
 def test_walk_matches_oracle_on_lattice_quotients(z2_setup):
@@ -297,22 +295,14 @@ def test_walk_matches_oracle_on_lattice_quotients(z2_setup):
     assert seen == {True, False}
 
 
-# Two edges of each rigid group 2-ball whose swap keeps every color of the
-# discrete target: like-mode refinement passes, and _check_iso rejects.
-COLOR_BLIND_SWAPS = {
-    "S4": (((1, 7), (3, 9)), ((1, 9), (3, 7))),
-    "F21": (((5, 6), (7, 8)), ((5, 7), (6, 8))),
-    "F42": (((7, 20), (8, 18)), ((7, 8), (18, 20))),
-}
-
-
 @pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda fx: fx.name)
 def test_walk_rejects_a_ball_the_discrete_colors_pass(fx):
     ball = cayley_ball(fx.engine(), fx.genset(), 2)
     target = prepare(ball)
-    graph = swapped(ball, *COLOR_BLIND_SWAPS[fx.name])
+    graph = swapped(ball, *COLOR_BLIND_SWAPS[fx.name, 2])
     assert is_discrete(target)
-    assert prepare(finite_ball(graph, 0, 2), like=target) is not None
+    near = finite_ball(graph, 0, 2)
+    assert iso._refine(near.dist, near.adjacency, like=target) is not None
     assert not assert_walk_matches_oracle(graph, target, 2)
     assert per_vertex_witnesses(graph, target, 2)[1][0] == 0
 

@@ -1,7 +1,6 @@
 """Edge labeling, induced actions, presentations over S, and the full
 reconstruction pipeline."""
 
-import importlib
 import itertools
 import json
 import random
@@ -259,8 +258,8 @@ def rotation_action(n):
 
 def test_check_factors_on_cycle():
     action = rotation_action(5)
-    assert check_factors(action, [word(((0, 5),))]) is True
-    bad = check_factors(action, [word(((0, 3),))])
+    assert check_factors(action, [word(((0, 5),))], (1, 0)) is True
+    bad = check_factors(action, [word(((0, 3),))], (1, 0))
     assert bad is not True
     assert bad.vertex == 0 and bad.relator.letters == ((0, 3),)
     assert bad.to_jsonable() == {"relator": [[0, 3]], "vertex": 0}
@@ -268,10 +267,9 @@ def test_check_factors_on_cycle():
 
 def test_check_factors_negative_exponents():
     action = rotation_action(5)
-    rel = word(((0, -5),))
-    assert check_factors(action, [rel], pairing=(1, 0)) is True
-    with pytest.raises(ValueError, match="pairing"):
-        check_factors(action, [rel])
+    assert check_factors(action, [word(((0, -5),))], (1, 0)) is True
+    bad = check_factors(action, [word(((0, -3),))], (1, 0))
+    assert bad.vertex == 0 and bad.relator.letters == ((0, -3),)
 
 
 def random_action(rng):
@@ -314,14 +312,6 @@ def random_relators(rng, k, pairing):
     return out
 
 
-def outcome(check, *args):
-    try:
-        return check(*args)
-    except ValueError as err:
-        assert "pairing" in str(err)
-        return "raised"
-
-
 def test_check_factors_matches_pointwise_oracle():
     rng = random.Random(20261018)
     outcomes = set()
@@ -330,16 +320,8 @@ def test_check_factors_matches_pointwise_oracle():
         relators = random_relators(rng, len(action.sigma), pairing)
         got = check_factors(action, relators, pairing)
         assert got == pointwise_check_factors(action, relators, pairing)
-        # Without the pairing a negative exponent raises, unless an
-        # earlier relator is already violated.
-        unpaired = [
-            outcome(check, action, relators)
-            for check in (check_factors, pointwise_check_factors)
-        ]
-        assert unpaired[0] == unpaired[1]
-        for result in (got, unpaired[0]):
-            outcomes.add("violated" if result not in (True, "raised") else result)
-    assert outcomes == {True, "violated", "raised"}
+        outcomes.add(got is True)
+    assert outcomes == {True, False}
 
 
 def test_stabilizer_of_cycle_rotation(z_setup):
@@ -529,14 +511,13 @@ def girth(graph):
     return best
 
 
-def count_label_yields(monkeypatch):
-    """The maps yielded by the searches that label_edges starts itself."""
-    # The package exports a function named reconstruct over its module.
-    module = importlib.import_module("lml.reconstruct")
-    search, yielded = module._search, []
+def count_searches(monkeypatch):
+    """The maps each isomorphism search yields, one list per search."""
+    search, searches = iso._search, []
 
     def counting(*args, **kwargs):
-        isos, cut = search(*args, **kwargs), None
+        isos, cut, yielded = search(*args, **kwargs), None, []
+        searches.append(yielded)
         while True:
             try:
                 mapping = isos.send(cut)
@@ -545,8 +526,8 @@ def count_label_yields(monkeypatch):
             yielded.append(mapping)
             cut = yield mapping
 
-    monkeypatch.setattr(module, "_search", counting)
-    return yielded
+    monkeypatch.setattr(iso, "_search", counting)
+    return searches
 
 
 @pytest.mark.parametrize("build, size, g", [(pg23, 26, 6), (w3, 80, 8)])
@@ -561,11 +542,11 @@ def test_ambiguity_search_stops_at_the_second_map(monkeypatch):
     # The parent listed all 31,104 isomorphisms of the F2 2-ball.
     engine, genset, _ = f2_setup()
     assert iso.automorphism_scan(cayley_ball(engine, genset, 2), 2)[0] == 31104
-    yielded = count_label_yields(monkeypatch)
+    searches = count_searches(monkeypatch)
     res = label_edges(pg23(), engine, genset, 2)
     assert isinstance(res, AmbiguousLabeling)
     assert res.disagreement() is not None
-    assert len(yielded) <= 2
+    assert max(map(len, searches)) <= 2
 
 
 def test_ambiguity_on_a_three_local_free_model_is_fast():
@@ -577,6 +558,9 @@ def test_ambiguity_on_a_three_local_free_model_is_fast():
     res = reconstruct(w3(), engine, genset, presentation, 3)
     assert time.perf_counter() - start < 1
     assert res.outcome == "ambiguous_labeling"
+    # The next map after the cut moves the LABEL_RADIUS ball; the uncut
+    # next map would move only leaves.
+    assert res.ambiguity.disagreement() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -673,21 +657,40 @@ def test_reconstruct_builds_each_ball_once(monkeypatch):
 
 @pytest.mark.parametrize("fx", ROUND_TRIP_FIXTURES, ids=lambda f: f.name)
 def test_rigid_labels_stand_after_one_map(fx, monkeypatch):
-    # label_edges reruns vertex 0's search on the walk's lists: the cut to
-    # the LABEL_RADIUS prefix after its first map yields no second one.
-    # No automorphism scan runs, and no ball is grown past the walk's.
+    # The target is discrete, so each ball's one map is read off its
+    # colors and vertex 0's matcher ends at the LABEL_RADIUS cut: no search
+    # runs at all.  No automorphism scan runs, and no ball is grown past
+    # the walk's.
     engine, genset, _, graph = full_cayley_graph(fx)
     scans = count_calls(monkeypatch, iso, "automorphism_scan")
     grown = count_calls(monkeypatch, balls, "_grow")
-    yielded = count_label_yields(monkeypatch)
+    searches = count_searches(monkeypatch)
     assert isinstance(label_edges(graph, engine, genset, fx.rigid_radius), EdgeLabeling)
-    assert len(yielded) == 1 and scans == []
+    assert searches == [] and scans == []
     assert len(grown) == graph.vertex_count + 1
 
 
 def test_ambiguity_is_the_cut_search_alone(monkeypatch):
+    # Vertex 0's search, the walk's own, is cut after its first map and
+    # yields the second; every other ball's search stops at its first.
     engine, genset, _ = f2_setup()
     scans = count_calls(monkeypatch, iso, "automorphism_scan")
-    yielded = count_label_yields(monkeypatch)
+    searches = count_searches(monkeypatch)
     assert isinstance(label_edges(pg23(), engine, genset, 2), AmbiguousLabeling)
-    assert len(yielded) == 2 and scans == []
+    assert list(map(len, searches)) == [2] + [1] * 25 and scans == []
+
+
+def test_reconstruct_starts_no_search_after_the_walk(monkeypatch, z2_setup):
+    # One search per vertex ball where the target has a color of several
+    # vertices, and none where every color is one vertex.
+    cases = [(pg23(), *f2_setup(), 26), (fixture_klein(8, 6), *z2_setup, 48)]
+    for fx in ROUND_TRIP_FIXTURES:
+        engine, genset, _, graph = full_cayley_graph(fx)
+        cases.append((graph, engine, genset, fx.presentation(), 0))
+    searches = count_searches(monkeypatch)
+    outcomes = []
+    for graph, engine, genset, presentation, want in cases:
+        searches.clear()
+        outcomes.append(reconstruct(graph, engine, genset, presentation, 2).outcome)
+        assert len(searches) == want
+    assert outcomes == ["ambiguous_labeling"] * 2 + ["success"] * 3

@@ -243,15 +243,14 @@ def test_perm_engine_normal_form_is_geodesic():
         assert eng.normal_form(nf) == nf
 
 
-def test_perm_engine_validation_and_cap():
+def test_perm_engine_validation_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         FinitePermutationEngine(AB, [(1, 0, 2), (0, 1)])
     with pytest.raises(ValueError):
         FinitePermutationEngine(AB, [(1, 1, 0), (0, 1, 2)])
-    eng = FinitePermutationEngine(
-        AB, [(1, 2, 3, 4, 5, 6, 0), (0, 4, 1, 5, 2, 6, 3)], table_cap=10
-    )
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr("lml.words.DEFAULT_TABLE_CAP", 10)
+    eng = FinitePermutationEngine(AB, [(1, 2, 3, 4, 5, 6, 0), (0, 4, 1, 5, 2, 6, 3)])
+    with pytest.raises(ResourceLimitError, match="^group exceeds table cap 10$"):
         eng.order()
 
 
