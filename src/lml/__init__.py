@@ -16,7 +16,6 @@ from .balls import (
     RootedBall,
     cayley_ball,
     distance,
-    finite_ball,
     finite_ball_with_order,
     is_connected,
     parse_graph,

@@ -151,26 +151,18 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
     order); vertex 0 is the identity, so for a validated S and radius >= 1
     vertex i + 1 is S-letter i.  Edges are all pairs {u, u*s} with
     both endpoints inside the ball, including sphere-to-sphere edges.
-    The search runs on engine keys, one call of a letter's stepper per
-    (vertex, letter); labels are made only if read.
+    The search runs on engine keys, one call of engine.neighbours(S)
+    per vertex; labels are made only if read.
     """
-    steppers = [engine.stepper(s) for s in genset.words]
     keys, dist, nbrs = _grow(
-        engine.key(word()),
-        lambda k: [f(k) for f in steppers],
-        radius,
-        max_vertices,
+        engine.key(word()), engine.neighbours(genset.words), radius, max_vertices
     )
     return RootedBall(len(keys), radius, dist, _edges(nbrs), tuple(keys), engine)
 
 
-def finite_ball(graph, v, radius):
-    """Induced ball of the given radius around v, renumbered in BFS order."""
-    return finite_ball_with_order(graph, v, radius)[0]
-
-
 def finite_ball_with_order(graph, v, radius):
-    """finite_ball plus the BFS order: order[ball vertex] = graph vertex."""
+    """Induced ball of the given radius around v, renumbered in BFS order,
+    and the order: order[ball vertex] = graph vertex."""
     if not (0 <= v < graph.vertex_count):
         raise ValueError(f"vertex {v} out of range")
     order, dist, nbrs = _grow(
@@ -198,7 +190,7 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
     kg = engine.key(g)
     if ke == kg:
         return 0
-    steppers = [engine.stepper(s) for s in genset.words]
+    neighbours = engine.neighbours(genset.words)
     visited = ({ke: 0}, {kg: 0})
     frontiers = ([ke], [kg])
     depth = [0, 0]
@@ -212,8 +204,7 @@ def distance(engine, genset, g, max_explored=DEFAULT_MAX_VERTICES):
         nxt = []
         d = depth[side] + 1
         for u in frontiers[side]:
-            for f in steppers:
-                k = f(u)
+            for k in neighbours(u):
                 if k in here:
                     continue
                 if len(visited[0]) + len(visited[1]) >= max_explored:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import add
 
 DEFAULT_TABLE_CAP = 1_000_000  # FinitePermutationEngine's table, in group elements
 
@@ -67,9 +68,9 @@ class Word:
         return " ".join(parts)
 
 
-def free_reduce(pairs):
-    """Merge adjacent same-generator letters and drop zero exponents."""
-    out = []
+def free_reduce(pairs, start=()):
+    """Append pairs to the reduced letters start, merging and cancelling."""
+    out = list(start)
     for g, e in pairs:
         if e == 0:
             continue
@@ -329,14 +330,14 @@ def britton_normal_form(w, m, n):
 class GroupEngine:
     """Canonical forms, identity tests, and products for one group.
 
-    key(w) is a hashable token of the element w names (the vertex identity
-    in ball constructions; on BS(m, n) two ints, see britton_stepper),
-    label(key) is that element's normal-form Word, and stepper(w) maps each
-    key to the key of that element times w, so ball searches run on keys
-    alone: built once per word, it keeps no state across calls, and
-    step(key, w) is stepper(w)(key).  normal_form = label . key is
-    idempotent and constant on group-equal words.  Engines are immutable
-    after construction; any caching is semantically invisible.
+    key(w) is a hashable token of the element w names (on BS(m, n) two
+    ints, see britton_stepper), label(key) is its normal-form Word, and
+    stepper(w), built once per word and keeping no state across calls,
+    maps a key to the key of that element times w; step(key, w) is
+    stepper(w)(key).  Searches run on keys alone, through neighbours(words),
+    built once per search: it maps a key to [key * w for w in words], in
+    that order.  normal_form = label . key is idempotent and constant on
+    group-equal words.  Engines are immutable; any caching is invisible.
     """
 
     alphabet = ()
@@ -354,11 +355,15 @@ class GroupEngine:
     def step(self, key, w):
         return self.stepper(w)(key)
 
+    def neighbours(self, words):
+        steppers = [self.stepper(w) for w in words]
+        return lambda key: [f(key) for f in steppers]
+
     def normal_form(self, w):
         return self.label(self.key(w))
 
     def is_identity(self, w):
-        return not self.normal_form(w).letters
+        return self.equal(w, word())
 
     def multiply(self, u, v):
         return self.normal_form(concat(u, v))
@@ -381,6 +386,10 @@ class FreeEngine(GroupEngine):
     def label(self, key):
         return Word(key)
 
+    def stepper(self, w):
+        tail = self.key(w)
+        return lambda key: free_reduce(tail, key).letters
+
 
 class FreeAbelianEngine(GroupEngine):
     kind = "free_abelian"
@@ -398,6 +407,10 @@ class FreeAbelianEngine(GroupEngine):
 
     def label(self, key):
         return word((g, e) for g, e in enumerate(key) if e != 0)
+
+    def stepper(self, w):
+        v = self.key(w)
+        return lambda key: tuple(map(add, key, v))
 
 
 class BaumslagSolitarEngine(GroupEngine):
@@ -425,8 +438,29 @@ class BaumslagSolitarEngine(GroupEngine):
     def stepper(self, w):
         return britton_stepper(w, self.m, self.n)
 
-    def is_identity(self, w):
-        return self.key(w) == (0, 0)
+    def neighbours(self, words):
+        # A word whose head (the word less its last unit letter) is in words
+        # is that letter's rule on the head's product, made first (heads are
+        # shorter); slot n holds the key itself.
+        n, plan = len(words), []
+        at = {w.letters: i for i, w in enumerate(words)}
+        size = [sum(abs(e) for _, e in w.letters) for w in words]
+        for i in sorted(range(n), key=size.__getitem__):
+            rule, j = words[i].letters, n
+            for g, e in rule[-1:]:
+                s = 1 if e > 0 else -1
+                j = at.get(rule[:-1] + ((g, e - s),) * (e != s), n)
+                rule = ((g, s),) if j < n else rule
+            plan.append((i, j, self.stepper(Word(rule))))
+
+        def step(key):
+            out = [key] * (n + 1)
+            for i, j, f in plan:
+                out[i] = f(out[j])
+            del out[n]
+            return out
+
+        return step
 
 
 def _perm_compose(p, q):
@@ -485,21 +519,17 @@ class FinitePermutationEngine(GroupEngine):
     def stepper(self, w):
         return partial(_perm_compose, q=self.permutation(w))
 
-    def is_identity(self, w):
-        return self.permutation(w) == self.identity
-
     @cached_property
     def _table(self):
         table = {self.identity: ()}
         queue = [self.identity]
-        steps = [((g, e), self.stepper(word(((g, e),))))
-                 for g in range(len(self.alphabet)) for e in (1, -1)]
+        letters = [(g, e) for g in range(len(self.alphabet)) for e in (1, -1)]
+        neighbours = self.neighbours([word((x,)) for x in letters])
         while queue:
             nxt = []
             for p in queue:
                 base = table[p]
-                for letter, step in steps:
-                    q = step(p)
+                for letter, q in zip(letters, neighbours(p)):
                     if q not in table:
                         if len(table) >= DEFAULT_TABLE_CAP:
                             raise ResourceLimitError(

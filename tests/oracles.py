@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately naive and, apart from the last eleven
-sections, shares no code or data structures with the package: different
-algorithms, different representations.  The last eleven keep an earlier
+Everything here is deliberately naive and, apart from finite_ball and the
+last eleven sections, shares no code or data structures with the package:
+different algorithms, different representations.  finite_ball is the
+package's finite_ball_with_order without the order, kept here because only
+the tests read a finite ball without it.  The last eleven keep an earlier
 form of a package routine and call the package for everything else; the
 last six hold the finite-ball and connectivity searches from before
 every ball was grown by one breadth-first search, the vertex walk from
@@ -22,7 +24,6 @@ from lml.balls import (
     RootedBall,
     cayley_ball,
     distance,
-    finite_ball,
     finite_ball_with_order,
     is_connected,
 )
@@ -131,6 +132,12 @@ def all_freely_reduced_words(max_len):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def finite_ball(graph, v, radius):
+    """Induced ball of the given radius around v, renumbered in BFS order:
+    the package's finite_ball_with_order without the order."""
+    return finite_ball_with_order(graph, v, radius)[0]
 
 
 # ---------------------------------------------------------------------------

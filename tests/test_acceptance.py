@@ -15,11 +15,12 @@ from conftest import ROUND_TRIP_FIXTURES
 from oracles import (
     all_freely_reduced_words,
     brute_rooted_isomorphisms,
+    finite_ball,
     layered_rooted_isomorphisms,
     pinch_identity,
 )
 
-from lml.balls import FiniteGraph, cayley_ball, finite_ball
+from lml.balls import FiniteGraph, cayley_ball
 from lml.cosets import (
     enumerate_homs,
     schreier_from_table,

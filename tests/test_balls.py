@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import AB, wd
 from oracles import (
+    finite_ball,
     layered_finite_ball_with_order,
     stack_is_connected,
     two_pass_cayley_ball,
@@ -14,7 +15,6 @@ from lml.balls import (
     RootedBall,
     cayley_ball,
     distance,
-    finite_ball,
     finite_ball_with_order,
     is_connected,
     parse_graph,
@@ -165,6 +165,15 @@ def test_cayley_ball_multiplies_once_per_vertex_and_letter(radius):
     )
 
 
+def assert_ball_matches_two_pass_build(engine, genset, radius):
+    ball = cayley_ball(engine, genset, radius)
+    want = two_pass_cayley_ball(engine, genset, radius)
+    assert (ball.dist, ball.edges, ball.keys, ball.element_labels) == (
+        want.dist, want.edges, want.keys, want.element_labels
+    )
+    return want
+
+
 def test_cayley_ball_matches_two_pass_build(bs_setup):
     # The key-stepping search against the word-multiplying construction.
     standard = ("a", "a^-1", "b", "b^-1")
@@ -177,11 +186,77 @@ def test_cayley_ball_matches_two_pass_build(bs_setup):
         cases.append((engine, validate_genset(engine, [wd(t) for t in texts])))
     for engine, genset in cases:
         for radius in range(4):
-            ball = cayley_ball(engine, genset, radius)
-            want = two_pass_cayley_ball(engine, genset, radius)
-            assert (ball.dist, ball.edges, ball.element_labels) == (
-                want.dist, want.edges, want.element_labels
-            )
+            assert_ball_matches_two_pass_build(engine, genset, radius)
+
+
+# Words whose heads (the word less its last unit letter) are in S: a^3 from
+# a^2 from a, a b^2 from a b from a.  Their inverses end in a^-1 or b^-1.
+CHAIN_TEXTS = (
+    "a", "a^2", "a^3", "a b", "a b^2",
+    "a^-1", "a^-2", "a^-3", "b^-1 a^-1", "b^-2 a^-1",
+)
+
+
+def chain_orders(rng):
+    """The chain set as listed, reversed (every head after its word), and
+    shuffled with b and b^-1 added (b^-1 a^-1 then steps from b^-1)."""
+    shuffled = list(CHAIN_TEXTS + ("b", "b^-1"))
+    rng.shuffle(shuffled)
+    return (CHAIN_TEXTS, CHAIN_TEXTS[::-1], tuple(shuffled))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 6), (9, 10)])
+def test_chained_words_match_two_pass_build_and_distance(m, n):
+    engine = BaumslagSolitarEngine(m, n)
+    for texts in chain_orders(random.Random(f"chain:{m}:{n}")):
+        genset = validate_genset(engine, [wd(t) for t in texts])
+        for radius in range(4):
+            want = assert_ball_matches_two_pass_build(engine, genset, radius)
+        for v, label in enumerate(want.element_labels):
+            assert distance(engine, genset, label) == want.dist[v], (texts, v)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffled_s10_balls_match_two_pass_build(seed):
+    # r0-bs builds the s10 2- and 3-balls of BS(9, 10) with S in a seeded
+    # order; some orders list a^2, a b or b^-1 a^-1 before its head.
+    engine = BaumslagSolitarEngine(9, 10)
+    texts = list(S10_TEXTS)
+    random.Random(f"s10:{seed}").shuffle(texts)
+    genset = validate_genset(engine, [wd(t) for t in texts])
+    for radius in (2, 3):
+        assert_ball_matches_two_pass_build(engine, genset, radius)
+
+
+class CountingBSEngine(BaumslagSolitarEngine):
+    """Counts the Britton rules its steppers apply: a call applies one rule
+    per a-letter and one per b-syllable of its word."""
+
+    rules = 0
+
+    def stepper(self, w):
+        inner = super().stepper(w)
+        weight = sum(abs(e) if g == 0 else 1 for g, e in w.letters)
+
+        def counted(key):
+            self.rules += weight
+            return inner(key)
+
+        return counted
+
+
+@pytest.mark.parametrize("radius, rules", [(2, 790), (3, 5270)])
+def test_bs_s10_ball_applies_one_rule_per_vertex_and_word(bs_setup, radius, rules):
+    # a^2, a^-2, a b and b^-1 a^-1 step by one rule from a, a^-1, a and
+    # b^-1, so no word costs more than one rule (1,106 and 7,378 with a
+    # stepper per word).
+    engine = CountingBSEngine(9, 10)
+    genset = validate_genset(engine, [wd(t) for t in S10_TEXTS])
+    engine.rules = 0
+    ball = cayley_ball(engine, genset, radius)
+    assert engine.rules == rules == ball.vertex_count * len(genset)
+    want = cayley_ball(bs_setup[0], bs_setup[1], radius)
+    assert (ball.dist, ball.edges, ball.keys) == (want.dist, want.edges, want.keys)
 
 
 def test_cayley_ball_respects_max_vertices(bs_setup):
@@ -456,6 +531,13 @@ def test_distance_unreachable_and_caps():
     )
     with pytest.raises(ResourceLimitError):
         distance(bs, bgs, parse_word("b^1000000", bs.alphabet), max_explored=50)
+
+
+def test_distance_of_the_ci_word():
+    # `lml distance --engine bs --m 2 --n 3 --word b^-40`, over a, a^-1, b, b^-1.
+    engine = BaumslagSolitarEngine(2, 3)
+    genset = validate_genset(engine, [wd(t) for t in ("a", "a^-1", "b", "b^-1")])
+    assert distance(engine, genset, wd("b^-40")) == 18
 
 
 def test_distance_zero_for_identity(bs_setup):

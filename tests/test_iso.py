@@ -9,13 +9,14 @@ import pytest
 from conftest import COLOR_BLIND_SWAPS, ROUND_TRIP_FIXTURES, swapped
 from oracles import (
     brute_rooted_isomorphisms,
+    finite_ball,
     forced_prefix_automorphism_scan,
     layered_rooted_isomorphisms,
     second_by_enumeration,
 )
 
 from lml import iso
-from lml.balls import FiniteGraph, RootedBall, cayley_ball, finite_ball
+from lml.balls import FiniteGraph, RootedBall, cayley_ball
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.iso import (
     RootedIso,

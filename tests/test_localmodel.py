@@ -5,10 +5,15 @@ import random
 
 import pytest
 from conftest import COLOR_BLIND_SWAPS, ROUND_TRIP_FIXTURES, swapped
-from oracles import classify_verify_model, layered_rooted_isomorphisms, per_vertex_witnesses
+from oracles import (
+    classify_verify_model,
+    finite_ball,
+    layered_rooted_isomorphisms,
+    per_vertex_witnesses,
+)
 
 from lml import balls, iso, localmodel
-from lml.balls import FiniteGraph, RootedBall, cayley_ball, distance, finite_ball
+from lml.balls import FiniteGraph, RootedBall, cayley_ball, distance
 from lml.cosets import default_witness
 from lml.fixtures import cycle_graph, fixture_klein, torus_grid
 from lml.iso import PreparedBall, RootedIso, canonical_key, prepare

@@ -6,7 +6,8 @@ The pinch-rewriting oracle in tests/oracles.py shares no code with the
 package, so u*s*label^-1 being trivial under it checks each step exactly.
 The packed Britton keys are unpacked by the oracle's own reading of
 their layout and checked against the one-loop step on lists, and the
-permutation stepper against one composition.
+permutation stepper against one composition, and the free and free
+abelian steppers against the key of the concatenated word.
 The relabelling is checked against the k! loop it replaced, todd_coxeter's
 index against sympy's coset enumeration, its whole table against the
 list-of-lists enumeration it replaced, the low-index search against
@@ -45,6 +46,8 @@ from lml.cosets import (
 from lml.words import (
     BaumslagSolitarEngine,
     FinitePermutationEngine,
+    FreeAbelianEngine,
+    FreeEngine,
     Presentation,
     ResourceLimitError,
     bs_presentation,
@@ -157,6 +160,26 @@ def test_permutation_stepper_is_one_composition(data, k, u, w):
     want = _perm_compose(key, engine.permutation(w))
     assert engine.stepper(w)(key) == want
     assert engine.step(key, w) == want
+
+
+# Three generators, so a junction can cancel through one letter and stop
+# at a letter of another generator.
+xyz_words = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(lambda e: e != 0)),
+    max_size=8,
+).map(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((FreeEngine, FreeAbelianEngine)), xyz_words, xyz_words)
+@example(FreeEngine, word(((0, 1), (1, 2))), word(((1, -2), (0, -1))))
+@example(FreeEngine, word(((0, 1), (1, 2))), word(((1, -2), (0, 2), (2, 1))))
+@example(FreeEngine, word(((2, 1), (1, 2))), word(((1, -1), (0, 1))))
+def test_free_steppers_are_the_product(engine_type, u, w):
+    engine = engine_type(("x", "y", "z"))
+    want = engine.key(concat(u, w))
+    assert engine.stepper(w)(engine.key(u)) == want
+    assert engine.step(engine.key(u), w) == want
 
 
 @settings(max_examples=300, deadline=None)
