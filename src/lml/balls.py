@@ -161,8 +161,7 @@ def cayley_ball(engine, genset, radius, max_vertices=DEFAULT_MAX_VERTICES):
 
 
 def finite_ball_with_order(graph, v, radius):
-    """Induced ball of the given radius around v, renumbered in BFS order,
-    and the order: order[ball vertex] = graph vertex."""
+    """Induced ball around v in BFS order, and order[ball vertex] = graph vertex."""
     if not (0 <= v < graph.vertex_count):
         raise ValueError(f"vertex {v} out of range")
     order, dist, nbrs = _grow(

@@ -330,14 +330,13 @@ def britton_normal_form(w, m, n):
 class GroupEngine:
     """Canonical forms, identity tests, and products for one group.
 
-    key(w) is a hashable token of the element w names (on BS(m, n) two
-    ints, see britton_stepper), label(key) is its normal-form Word, and
-    stepper(w), built once per word and keeping no state across calls,
-    maps a key to the key of that element times w; step(key, w) is
-    stepper(w)(key).  Searches run on keys alone, through neighbours(words),
-    built once per search: it maps a key to [key * w for w in words], in
-    that order.  normal_form = label . key is idempotent and constant on
-    group-equal words.  Engines are immutable; any caching is invisible.
+    Each engine defines key(w), a hashable token of the element w names (on
+    BS(m, n) two ints, see britton_stepper), label(key), its normal-form
+    Word, and stepper(w), key -> the key of that element times w, built once
+    per word and stateless; step(key, w) is stepper(w)(key).  Searches run
+    on keys through neighbours(S), built once per search: key -> [key * w
+    for w in S], in that order.  normal_form = label . key is idempotent and
+    constant on group-equal words.  Engines are immutable; caching is invisible.
     """
 
     alphabet = ()
@@ -348,9 +347,6 @@ class GroupEngine:
 
     def label(self, key):
         raise NotImplementedError
-
-    def stepper(self, w):
-        return lambda key: self.key(concat(self.label(key), w))
 
     def step(self, key, w):
         return self.stepper(w)(key)
@@ -363,7 +359,7 @@ class GroupEngine:
         return self.label(self.key(w))
 
     def is_identity(self, w):
-        return self.equal(w, word())
+        return not self.normal_form(w).letters
 
     def multiply(self, u, v):
         return self.normal_form(concat(u, v))
@@ -438,10 +434,12 @@ class BaumslagSolitarEngine(GroupEngine):
     def stepper(self, w):
         return britton_stepper(w, self.m, self.n)
 
+    def is_identity(self, w):
+        return self.key(w) == (0, 0)
+
     def neighbours(self, words):
-        # A word whose head (the word less its last unit letter) is in words
-        # is that letter's rule on the head's product, made first (heads are
-        # shorter); slot n holds the key itself.
+        # A word whose head (itself less its last unit letter) is in words is
+        # that letter's rule on the head's product, made first; out[n] is key.
         n, plan = len(words), []
         at = {w.letters: i for i, w in enumerate(words)}
         size = [sum(abs(e) for _, e in w.letters) for w in words]
@@ -518,6 +516,9 @@ class FinitePermutationEngine(GroupEngine):
 
     def stepper(self, w):
         return partial(_perm_compose, q=self.permutation(w))
+
+    def is_identity(self, w):
+        return self.permutation(w) == self.identity
 
     @cached_property
     def _table(self):

@@ -190,7 +190,8 @@ def test_cayley_ball_matches_two_pass_build(bs_setup):
 
 
 # Words whose heads (the word less its last unit letter) are in S: a^3 from
-# a^2 from a, a b^2 from a b from a.  Their inverses end in a^-1 or b^-1.
+# a^2 from a, a b^2 from a b from a, and a^-3 from a^-2 from a^-1.  b^-1 a^-1
+# steps from b^-1 once b^-1 is in S; b^-2 a^-1 always has its own stepper.
 CHAIN_TEXTS = (
     "a", "a^2", "a^3", "a b", "a b^2",
     "a^-1", "a^-2", "a^-3", "b^-1 a^-1", "b^-2 a^-1",
