@@ -68,9 +68,9 @@ class Word:
         return " ".join(parts)
 
 
-def free_reduce(pairs, start=()):
-    """Append pairs to the reduced letters start, merging and cancelling."""
-    out = list(start)
+def free_reduce(pairs):
+    """Merge adjacent same-generator letters and drop zero exponents."""
+    out = []
     for g, e in pairs:
         if e == 0:
             continue
@@ -330,13 +330,11 @@ def britton_normal_form(w, m, n):
 class GroupEngine:
     """Canonical forms, identity tests, and products for one group.
 
-    Each engine defines key(w), a hashable token of the element w names (on
-    BS(m, n) two ints, see britton_stepper), label(key), its normal-form
-    Word, and stepper(w), key -> the key of that element times w, built once
-    per word and stateless; step(key, w) is stepper(w)(key).  Searches run
-    on keys through neighbours(S), built once per search: key -> [key * w
-    for w in S], in that order.  normal_form = label . key is idempotent and
-    constant on group-equal words.  Engines are immutable; caching is invisible.
+    key(w) is a hashable token of w's element (two ints on BS(m, n)), label(key)
+    its normal-form Word; stepper(w), built once per word and stateless, maps a
+    key to its element times w, and neighbours(S), built once per search, maps it
+    to [key * w for w in S] in order.  normal_form = label . key is idempotent
+    and constant on group-equal words.  Engines are immutable; caching is invisible.
     """
 
     alphabet = ()
@@ -346,6 +344,9 @@ class GroupEngine:
         raise NotImplementedError
 
     def label(self, key):
+        raise NotImplementedError
+
+    def stepper(self, w):
         raise NotImplementedError
 
     def step(self, key, w):
@@ -384,7 +385,7 @@ class FreeEngine(GroupEngine):
 
     def stepper(self, w):
         tail = self.key(w)
-        return lambda key: free_reduce(tail, key).letters
+        return lambda key: free_reduce(key + tail).letters
 
 
 class FreeAbelianEngine(GroupEngine):
@@ -438,24 +439,23 @@ class BaumslagSolitarEngine(GroupEngine):
         return self.key(w) == (0, 0)
 
     def neighbours(self, words):
-        # A word whose head (itself less its last unit letter) is in words is
-        # that letter's rule on the head's product, made first; out[n] is key.
+        # A word whose head (less its last unit letter) is in words steps by that
+        # letter's rule from the head's slot, filled first; others from the key.
         n, plan = len(words), []
         at = {w.letters: i for i, w in enumerate(words)}
         size = [sum(abs(e) for _, e in w.letters) for w in words]
         for i in sorted(range(n), key=size.__getitem__):
-            rule, j = words[i].letters, n
+            rule, j = words[i].letters, i
             for g, e in rule[-1:]:
                 s = 1 if e > 0 else -1
-                j = at.get(rule[:-1] + ((g, e - s),) * (e != s), n)
-                rule = ((g, s),) if j < n else rule
+                j = at.get(rule[:-1] + ((g, e - s),) * (e != s), i)
+                rule = ((g, s),) if j != i else rule
             plan.append((i, j, self.stepper(Word(rule))))
 
         def step(key):
-            out = [key] * (n + 1)
+            out = [key] * n
             for i, j, f in plan:
                 out[i] = f(out[j])
-            del out[n]
             return out
 
         return step
