@@ -300,13 +300,11 @@ def _add_engine(p):
     p.add_argument("--engine", choices=("bs", "zd", "free"), default="bs")
     p.add_argument("--m", type=int, default=9)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--s", help="generating set: words separated by |")
-    p.add_argument(
-        "--preset",
-        choices=("s10",),
-        help="s10: the 10-element BS generating set",
-    )
+    p.add_argument("--d", type=_cap, default=1)
+    s = p.add_mutually_exclusive_group()
+    s.add_argument("--s", help="generating set: words separated by |")
+    s.add_argument("--preset", choices=("s10",),
+                   help="s10: the 10-element BS generating set")
     p.add_argument("--max-vertices", type=_cap, dest="max_vertices")
 
 

@@ -35,6 +35,7 @@ from .words import (
     _distinct_keys,
     _perm_inverse,
     _word_permutation,
+    britton_normal_form,
     bs_s10_setup,
     invert,
     word,
@@ -615,7 +616,7 @@ def witness_report(m, n, max_degree, witness=None, gcd_witness=False,
     engine, s10, presentation = bs_s10_setup(m, n)
     if witness is None:
         witness = default_witness(m, n, gcd_witness)
-    nf = engine.britton(witness)
+    nf = britton_normal_form(witness, m, n)
     if nf.is_identity():
         raise ValueError("witness is trivial; nothing to scan")
     if math.gcd(m, n) > 1:

@@ -17,7 +17,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .balls import (
-    DEFAULT_MAX_VERTICES, FiniteGraph, RootedBall, _edges, cayley_ball, distance, is_connected,
+    DEFAULT_MAX_VERTICES, FiniteGraph, RootedBall, _edges, _grow, cayley_ball, distance,
+    is_connected,
 )
 from .cosets import SchreierGraph
 from .iso import RootedIso, prepare
@@ -212,15 +213,13 @@ def present_on_S(presentation, genset, engine,
     any relator, evaluated in Cay(engine, S) with one distance search per
     distinct prefix element, each capped at max_vertices explored elements.
     """
-    base = {}
-    for g in range(len(presentation.generators)):
-        unit = word(((g, 1),))
-        for i, s in enumerate(genset.words):
-            if engine.equal(s, unit):
-                base[g] = i
-                break
-        else:
-            raise BaseLettersMissingError(presentation.generators[g])
+    at, base = {}, {}  # at: key -> first index in S
+    for i, s in enumerate(genset.words):
+        at.setdefault(engine.key(s), i)
+    for g, name in enumerate(presentation.generators):
+        base[g] = at.get(engine.key(word(((g, 1),))))
+        if base[g] is None:
+            raise BaseLettersMissingError(name)
     pairing = genset.inverse_pairing
     base_like = set(base.values()) | {pairing[i] for i in base.values()}
 
@@ -283,34 +282,23 @@ def check_factors(action, relators, pairing):
 def stabilizer(action, genset):
     """Schreier generators of vertex 0's stabilizer, over the original alphabet.
 
-    BFS spanning tree rooted at 0 with edges tried in S order; each
-    non-tree pair (u, s) contributes p_u * s * p_{sigma_s(u)}^-1, freely
-    reduced, with empties and exact duplicates dropped.
+    The spanning tree is the balls' breadth-first search over the action,
+    rooted at 0 with edges tried in S order; each non-tree pair (u, s)
+    contributes p_u * s * p_{sigma_s(u)}^-1, freely reduced, with empties
+    and exact duplicates dropped.
     """
-    n = action.vertex_count
+    n, sigma = action.vertex_count, action.sigma
+    _, _, nbrs = _grow(0, lambda u: [col[u] for col in sigma], n, n)
     letters = [s.letters for s in genset.words]
-    path, back = [None] * n, [None] * n  # reduced letter tuples, inverses
-    path[0] = back[0] = ()
-    order = [0]
-    tree = set()
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for i, s in enumerate(letters):
-            t = action.sigma[i][u]
-            if path[t] is None:
-                path[t] = free_reduce(path[u] + s).letters
-                back[t] = invert(Word(path[t])).letters
-                tree.add((u, i))
-                order.append(t)
-    gens = []
-    seen = set()
-    for u in order:
-        for i, s in enumerate(letters):
-            if (u, i) in tree:
+    path, back = [()], [()]  # by BFS index: reduced letter tuples, inverses
+    gens, seen = [], set()
+    for u, targets in enumerate(nbrs):
+        for s, t in zip(letters, targets):
+            if t == len(path):  # _grow numbers t on this, its first arc
+                path.append(free_reduce(path[u] + s).letters)
+                back.append(invert(Word(path[t])).letters)
                 continue
-            g = free_reduce(path[u] + s + back[action.sigma[i][u]])
+            g = free_reduce(path[u] + s + back[t])
             if g.letters and g.letters not in seen:
                 seen.add(g.letters)
                 gens.append(g)
@@ -345,10 +333,9 @@ class ReconstructionResult:
 
     def to_jsonable(self, alphabet=None):
         out = {"schema": 1, "outcome": self.outcome}
-        if self.labeling is not None:
-            out["labeling"] = self.labeling.to_jsonable()
-        if self.action is not None:
-            out["action"] = self.action.to_jsonable()
+        for name in ("labeling", "action", "ambiguity", "inconsistency", "violation"):
+            if (part := getattr(self, name)) is not None:
+                out[name] = part.to_jsonable()
         if self.stabilizer_words is not None:
             if alphabet is not None:
                 out["stabilizer"] = [
@@ -360,12 +347,6 @@ class ReconstructionResult:
                 ]
         if self.r_prime is not None:
             out["r_prime"] = self.r_prime
-        if self.ambiguity is not None:
-            out["ambiguity"] = self.ambiguity.to_jsonable()
-        if self.inconsistency is not None:
-            out["inconsistency"] = self.inconsistency.to_jsonable()
-        if self.violation is not None:
-            out["violation"] = self.violation.to_jsonable()
         if self.rejection is not None:
             out["rejection"] = {
                 "vertex": self.rejection[0],

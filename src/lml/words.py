@@ -169,11 +169,11 @@ class GenSet:
 
 def _distinct_keys(engine, ws):
     """{key: index} over S, once no word is the identity and no two agree."""
-    keys = []
+    identity, keys = engine.key(word()), []
     for i, w in enumerate(ws):
-        if engine.is_identity(w):
+        keys.append(k := engine.key(w))
+        if k == identity:
             raise GenSetError("identity element in generating set", i)
-        keys.append(engine.key(w))
     seen = {}
     for i, k in enumerate(keys):
         if k in seen:
@@ -334,7 +334,9 @@ class GroupEngine:
     its normal-form Word; stepper(w), built once per word and stateless, maps a
     key to its element times w, and neighbours(S), built once per search, maps it
     to [key * w for w in S] in order.  normal_form = label . key is idempotent
-    and constant on group-equal words.  Engines are immutable; caching is invisible.
+    and constant on group-equal words, so two words are equal iff their keys
+    are, and is_identity compares with the empty word's key.  Engines are
+    immutable; caching is invisible.
     """
 
     alphabet = ()
@@ -349,9 +351,6 @@ class GroupEngine:
     def stepper(self, w):
         raise NotImplementedError
 
-    def step(self, key, w):
-        return self.stepper(w)(key)
-
     def neighbours(self, words):
         steppers = [self.stepper(w) for w in words]
         return lambda key: [f(key) for f in steppers]
@@ -360,13 +359,10 @@ class GroupEngine:
         return self.label(self.key(w))
 
     def is_identity(self, w):
-        return not self.normal_form(w).letters
+        return self.key(w) == self.key(word())
 
     def multiply(self, u, v):
         return self.normal_form(concat(u, v))
-
-    def equal(self, u, v):
-        return self.key(u) == self.key(v)
 
 
 class FreeEngine(GroupEngine):
@@ -412,7 +408,7 @@ class FreeAbelianEngine(GroupEngine):
 
 class BaumslagSolitarEngine(GroupEngine):
     """BS(m, n) on the fixed two-letter alphabet (a, b).  Keys are packed
-    (t0, code) pairs; label and britton unpack them to BrittonForms."""
+    (t0, code) pairs; label unpacks them to BrittonForms."""
 
     alphabet = ("a", "b")
     kind = "bs"
@@ -421,9 +417,6 @@ class BaumslagSolitarEngine(GroupEngine):
         _check_bs(m, n)
         self.m = m
         self.n = n
-
-    def britton(self, w):
-        return britton_normal_form(w, self.m, self.n)
 
     def key(self, w):
         return self.stepper(w)((0, 0))
@@ -434,9 +427,6 @@ class BaumslagSolitarEngine(GroupEngine):
 
     def stepper(self, w):
         return britton_stepper(w, self.m, self.n)
-
-    def is_identity(self, w):
-        return self.key(w) == (0, 0)
 
     def neighbours(self, words):
         # A word whose head (less its last unit letter) is in words steps by that
@@ -516,9 +506,6 @@ class FinitePermutationEngine(GroupEngine):
 
     def stepper(self, w):
         return partial(_perm_compose, q=self.permutation(w))
-
-    def is_identity(self, w):
-        return self.permutation(w) == self.identity
 
     @cached_property
     def _table(self):

@@ -56,7 +56,9 @@ from lml.reconstruct import (
     present_on_S,
     stabilizer,
 )
-from lml.words import ResourceLimitError, _perm_inverse, bs_s10_setup, word
+from lml.words import (
+    ResourceLimitError, _perm_inverse, britton_normal_form, bs_s10_setup, word,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +937,7 @@ def searched_witness_report(m, n, max_degree, witness=None,
     engine, s10, presentation = bs_s10_setup(m, n)
     if witness is None:
         witness = default_witness(m, n, gcd_witness)
-    nf = engine.britton(witness)
+    nf = britton_normal_form(witness, m, n)
     if nf.is_identity():
         raise ValueError("witness is trivial; nothing to scan")
     found = _low_index(presentation, max_degree, max_nodes)

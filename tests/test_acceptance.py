@@ -35,6 +35,7 @@ from lml.words import (
     BaumslagSolitarEngine,
     FreeAbelianEngine,
     Presentation,
+    britton_normal_form,
     bs_presentation,
     bs_s10_setup,
     parse_word,
@@ -181,7 +182,7 @@ def build_normal_form_oracle():
     mismatches = []
     words = all_freely_reduced_words(8)
     for letters in words:
-        got = engine.britton(word(letters)).is_identity()
+        got = britton_normal_form(word(letters), engine.m, engine.n).is_identity()
         want = pinch_identity(letters, 2, 3)
         if got != want:
             mismatches.append([list(t) for t in letters])

@@ -483,7 +483,7 @@ def one_sided_distance(engine, genset, g):
         nxt = []
         for u in frontier:
             for s in genset.words:
-                k = engine.step(u, s)
+                k = engine.stepper(s)(u)
                 if k not in seen:
                     seen.add(k)
                     nxt.append(k)

@@ -81,6 +81,25 @@ def test_ball_preset_needs_bs_engine(capsys):
     assert out == "" and "s10" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (("--engine", "zd", "--d", "-1"), "argument --d: expected an integer >= 1"),
+        (("--engine", "zd", "--d", "0"), "argument --d: expected an integer >= 1"),
+        (("--preset", "s10", "--s", "a|a^-1"),
+         "argument --s: not allowed with argument --preset"),
+    ),
+    ids=("d-minus-1", "d-0", "preset-and-s"),
+)
+def test_ball_refuses_a_dimension_below_one_and_two_generating_sets(
+    capsys, argv, message
+):
+    # Each is a usage error, not a ball of some other group or S with exit 0.
+    code, out, err = run(capsys, "ball", *argv, "--radius", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("usage: lml ball") and message in err
+
+
 def test_ball_text_format_round_trips(capsys, z2_setup):
     code, out, _ = run(
         capsys,

@@ -74,7 +74,7 @@ def words(max_len):
 def test_step_is_the_product(params, u, s):
     m, n = params
     engine = BaumslagSolitarEngine(m, n)
-    key = engine.step(engine.key(u), s)
+    key = engine.stepper(s)(engine.key(u))
     label = engine.label(key)
     assert pinch_identity(concat(concat(u, s), invert(label)).letters, m, n)
     for eps, t in unpack_bs_key(key, m, n)[1]:
@@ -99,7 +99,6 @@ def test_stepper_matches_the_loop_step(m, n, t0, u, w):
     assert unpack_bs_key(key, m, n) == form
     want = loop_britton_step(form, w, m, n)
     assert unpack_bs_key(engine.stepper(w)(key), m, n) == want
-    assert unpack_bs_key(engine.step(key, w), m, n) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,8 +120,6 @@ def test_stepper_rejects_letters_outside_the_alphabet(m, n, u, v, g):
     bad = word(u.letters + ((g, 1),) + v.letters)
     with pytest.raises(ValueError):
         engine.stepper(bad)(engine.key(u))
-    with pytest.raises(ValueError):
-        engine.step(engine.key(u), bad)
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,7 +156,6 @@ def test_permutation_stepper_is_one_composition(data, k, u, w):
     key = engine.key(u)
     want = _perm_compose(key, engine.permutation(w))
     assert engine.stepper(w)(key) == want
-    assert engine.step(key, w) == want
 
 
 # Three generators, so a junction can cancel through one letter and stop
@@ -179,7 +175,6 @@ def test_free_steppers_are_the_product(engine_type, u, w):
     engine = engine_type(("x", "y", "z"))
     want = engine.key(concat(u, w))
     assert engine.stepper(w)(engine.key(u)) == want
-    assert engine.step(engine.key(u), w) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -32,6 +32,7 @@ from lml.reconstruct import (
 from lml.words import (
     FinitePermutationEngine,
     FreeEngine,
+    GenSet,
     Presentation,
     ResourceLimitError,
     bs_s10_setup,
@@ -376,6 +377,29 @@ def test_reconstruct_ambiguous_on_cycle(z_setup):
     assert "ambiguity" in res.to_jsonable()
 
 
+def test_reconstruct_reports_a_crossed_pairing(group_fixture):
+    # The first two inverse pairs {i, j} and {k, l} become {i, l} and
+    # {j, k}: still an involution, but the labels of a true model carry
+    # the group's own pairing, so some reverse edge disagrees.
+    engine, genset, _, graph = full_cayley_graph(group_fixture)
+    pairing = list(genset.inverse_pairing)
+    (i, j), (k, l) = [(i, j) for i, j in enumerate(pairing) if i < j][:2]
+    pairing[i], pairing[l], pairing[j], pairing[k] = l, i, k, j
+    crossed = GenSet(genset.words, tuple(pairing))
+    res = reconstruct(graph, engine, crossed, group_fixture.presentation(), 2)
+    assert res.outcome == "label_inconsistency"
+    v, w = res.inconsistency.edge
+    assert (min(v, w), max(v, w)) in graph.edges
+    doc = res.to_jsonable()
+    assert doc == {"schema": 1, "outcome": "label_inconsistency",
+                   "inconsistency": res.inconsistency.to_jsonable()}
+    assert doc["inconsistency"]["edge"] == [v, w]
+    if group_fixture.name == "S4":
+        assert res.inconsistency == LabelInconsistency(
+            (0, 2), "forward label 1 pairs with 4, reverse edge carries 2"
+        )
+
+
 def test_reconstruct_round_trips_cayley_graph(group_fixture):
     engine, genset, ball, graph = full_cayley_graph(group_fixture)
     res = reconstruct(
@@ -397,7 +421,7 @@ def test_reconstruct_round_trips_cayley_graph(group_fixture):
     # The point stabilizer in the regular action is trivial.
     assert res.stabilizer_words
     for g in res.stabilizer_words:
-        assert engine.equal(g, word())
+        assert engine.is_identity(g)
     doc = res.to_jsonable(alphabet=engine.alphabet)
     assert doc["outcome"] == "success"
     assert doc["r_prime"] == res.r_prime
@@ -648,10 +672,11 @@ def test_reconstruct_builds_each_ball_once(monkeypatch):
     res = reconstruct(graph, fx.engine(), fx.genset(), fx.presentation(), r)
     assert res.succeeded
     assert len(targets) == 1
-    # One ball cut per vertex plus the target's, and the connectivity
-    # search over the whole graph; a rigid target needs no ball object.
+    # One ball cut per vertex plus the target's, the connectivity search
+    # over the whole graph, and the stabilizer's search over the action;
+    # a rigid target needs no ball object.
     radii = sorted(args[2] for args in searches)
-    assert r < n and radii == [r] * (n + 1) + [n]
+    assert r < n and radii == [r] * (n + 1) + [n, n]
     assert ball_objects == [] and keys == [] and verdicts == []
 
 

@@ -171,13 +171,13 @@ def test_free_engine_reduces_only():
     eng = FreeEngine(AB)
     assert eng.is_identity(wd("a b b^-1 a^-1"))
     assert not eng.is_identity(wd("a b a^-1 b^-1"))
-    assert eng.equal(wd("a b b"), wd("a b^2"))
+    assert eng.key(wd("a b b")) == eng.key(wd("a b^2"))
 
 
 def test_free_abelian_engine_sorts_exponents():
     eng = FreeAbelianEngine(AB)
     assert eng.key(wd("b a b")) == (1, 2)
-    assert eng.equal(wd("a b"), wd("b a"))
+    assert eng.key(wd("a b")) == eng.key(wd("b a"))
     assert eng.normal_form(wd("b a b^-1")).letters == ((0, 1),)
 
 
@@ -185,18 +185,18 @@ def test_bs_engine_agrees_with_normal_form():
     eng = BaumslagSolitarEngine(2, 3)
     u, v = wd("a b^2"), wd("a^-1 b")
     prod = eng.multiply(u, v)
-    assert eng.equal(prod, concat(u, v))
+    assert eng.key(prod) == eng.key(concat(u, v))
     assert eng.key(wd("a b^2 a^-1")) == eng.key(wd("b^3"))
 
 
 def test_step_rejects_letters_outside_the_bs_alphabet():
     eng = BaumslagSolitarEngine(2, 3)
     with pytest.raises(ValueError):
-        eng.step(eng.key(wd("a b")), word(((2, 1),)))
+        eng.stepper(word(((2, 1),)))(eng.key(wd("a b")))
 
 
 def test_engine_step_is_the_product_on_keys():
-    # label(step(key(u), s)) must be the word-level product for every engine
+    # label(stepper(s)(key(u))) must be the word-level product for every engine
     engines = (
         FreeEngine(AB),
         FreeAbelianEngine(AB),
@@ -208,7 +208,7 @@ def test_engine_step_is_the_product_on_keys():
     for eng in engines:
         for _ in range(200):
             u, s = random_word(rng), random_word(rng, max_len=3)
-            k = eng.step(eng.key(u), s)
+            k = eng.stepper(s)(eng.key(u))
             assert k == eng.key(concat(u, s))
             assert eng.label(k) == eng.multiply(u, s)
 
@@ -224,7 +224,7 @@ def test_perm_engine_left_to_right_convention():
     eng = FinitePermutationEngine(
         AB, [(1, 2, 3, 4, 5, 6, 0), (0, 4, 1, 5, 2, 6, 3)]
     )
-    assert eng.equal(wd("b a b^-1"), wd("a^2"))
+    assert eng.key(wd("b a b^-1")) == eng.key(wd("a^2"))
     assert eng.order() == 21
 
 
@@ -235,7 +235,7 @@ def test_perm_engine_normal_form_is_geodesic():
     for _ in range(100):
         w = random_word(rng, max_len=8)
         nf = eng.normal_form(w)
-        assert eng.equal(nf, w)
+        assert eng.key(nf) == eng.key(w)
         assert sum(abs(e) for _, e in nf.letters) <= sum(
             abs(e) for _, e in w.letters
         )
@@ -286,6 +286,20 @@ def test_validate_genset_errors():
         validate_genset(
             eng2, [wd("a b"), wd("b a"), wd("b^-1 a^-1"), wd("a^-1 b^-1")]
         )
+
+
+def test_validate_genset_keys_each_word_once(monkeypatch):
+    # One key per word, the identity's, and one per inverse: 10 + 1 + 10.
+    calls, key = [], BaumslagSolitarEngine.key
+
+    def counted(self, w):
+        calls.append(w)
+        return key(self, w)
+
+    monkeypatch.setattr(BaumslagSolitarEngine, "key", counted)
+    engine = BaumslagSolitarEngine(9, 10)
+    validate_genset(engine, [wd(t) for t in S10_TEXTS])
+    assert len(calls) == 21
 
 
 def test_genset_refuses_a_pairing_that_is_not_an_involution():
