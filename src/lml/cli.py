@@ -79,46 +79,36 @@ def _axis_names(d):
     return tuple(f"x{i + 1}" for i in range(d))
 
 
-def _make_engine(args):
-    kind = getattr(args, "engine", "bs")
-    if kind == "bs":
-        return BaumslagSolitarEngine(args.m, args.n)
-    if kind == "zd":
-        return FreeAbelianEngine(_axis_names(args.d))
-    if kind == "free":
-        return FreeEngine(_axis_names(args.d))
-    raise ValueError(f"unknown engine {kind!r}")
-
-
-def _default_presentation(args, engine):
-    kind = getattr(args, "engine", "bs")
-    if kind == "bs":
-        return bs_presentation(args.m, args.n)
-    names = engine.alphabet
-    relators = []
-    if kind == "zd":
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                relators.append(word(((i, 1), (j, 1), (i, -1), (j, -1))))
-    return Presentation(names, tuple(relators))
-
-
 def _s_words(args, engine, s_words=None):
     """S from --preset, --s or s_words, else the generators and inverses."""
-    preset = getattr(args, "preset", None)
-    if preset == "s10":
-        if engine.kind != "bs":
+    if getattr(args, "preset", None) == "s10":
+        if args.engine != "bs":
             raise ValueError("--preset s10 needs --engine bs")
         return [parse_word(t, engine.alphabet) for t in S10_TEXTS]
-    if getattr(args, "s", None):
+    if args.s is not None:
         return [parse_word(p, engine.alphabet) for p in args.s.split("|")]
     if s_words:
         return list(s_words)
     return [word(((g, e),)) for g in range(len(engine.alphabet)) for e in (1, -1)]
 
 
-def _make_genset(args, engine):
-    return validate_genset(engine, _s_words(args, engine))
+def _group(args):
+    """The engine --engine names, S validated over it, and the group's
+    default presentation."""
+    if args.engine == "bs":
+        engine = BaumslagSolitarEngine(args.m, args.n)
+        pres = bs_presentation(args.m, args.n)
+    elif args.engine == "zd":
+        engine = FreeAbelianEngine(_axis_names(args.d))
+        k = len(engine.alphabet)
+        pres = Presentation(engine.alphabet, tuple(
+            word(((i, 1), (j, 1), (i, -1), (j, -1)))
+            for i in range(k) for j in range(i + 1, k)
+        ))
+    else:
+        engine = FreeEngine(_axis_names(args.d))
+        pres = Presentation(engine.alphabet)
+    return engine, validate_genset(engine, _s_words(args, engine)), pres
 
 
 def _max_vertices(args):
@@ -168,16 +158,14 @@ def _ball_jsonable(ball, engine):
 
 
 def cmd_ball(args):
-    engine = _make_engine(args)
-    genset = _make_genset(args, engine)
+    engine, genset, _ = _group(args)
     ball = cayley_ball(engine, genset, args.radius, _max_vertices(args))
     _emit(args, _ball_jsonable(ball, engine), text=render_rooted_ball(ball))
     return EXIT_OK
 
 
 def cmd_verify(args):
-    engine = _make_engine(args)
-    genset = _make_genset(args, engine)
+    engine, genset, _ = _group(args)
     graph = parse_graph(_read(args.graph))
     verdict = verify_model(graph, engine, genset, args.radius, _max_vertices(args))
     _emit(args, verdict.to_jsonable())
@@ -185,12 +173,9 @@ def cmd_verify(args):
 
 
 def cmd_reconstruct(args):
-    engine = _make_engine(args)
-    genset = _make_genset(args, engine)
+    engine, genset, pres = _group(args)
     if args.presentation:
         pres = parse_presentation(_read(args.presentation)).presentation
-    else:
-        pres = _default_presentation(args, engine)
     graph = parse_graph(_read(args.graph))
     result = reconstruct(
         graph, engine, genset, pres, args.radius, _max_vertices(args)
@@ -200,16 +185,14 @@ def cmd_reconstruct(args):
 
 
 def cmd_r0(args):
-    engine = _make_engine(args)
-    genset = _make_genset(args, engine)
+    engine, genset, _ = _group(args)
     report = fixing_radius(engine, genset, args.r, args.bound, _max_vertices(args))
     _emit(args, report.to_jsonable())
     return EXIT_OK if report.found else EXIT_NEGATIVE
 
 
 def cmd_distance(args):
-    engine = _make_engine(args)
-    genset = _make_genset(args, engine)
+    engine, genset, _ = _group(args)
     target = parse_word(args.word, engine.alphabet)
     cap = _max_vertices(args)
     try:

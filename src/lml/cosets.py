@@ -584,8 +584,8 @@ def default_witness(m, n, gcd_witness=False):
     if not gcd_witness:
         if c != 1:
             raise ValueError(
-                f"gcd({m},{n}) = {c} != 1; pass gcd_witness=True for the "
-                "general witness"
+                f"gcd({m},{n}) = {c} != 1; pass gcd_witness=True "
+                "(--gcd-witness) for the general witness"
             )
     elif c == m or c == n:
         raise ValueError(

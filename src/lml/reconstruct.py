@@ -169,7 +169,7 @@ def label_edges(graph, engine, genset, radius,
     return EdgeLabeling(
         vertex_count=graph.vertex_count,
         genset_size=len(genset),
-        directed=tuple(sorted((v, w, i) for (v, w), i in labels.items())),
+        directed=tuple((v, w, i) for (v, w), i in labels.items()),
     )
 
 
@@ -180,18 +180,14 @@ def build_action(graph, labeling, genset):
     graph is |S|-regular); bijectivity of each sigma is re-verified.
     """
     n = graph.vertex_count
-    k = len(genset)
-    out = defaultdict(dict)
+    sigma = [[None] * n for _ in genset.words]
     for v, w, i in labeling.directed:
-        out[v][i] = w
-    sigma = [[None] * n for _ in range(k)]
+        sigma[i][v] = w
     for v in range(n):
-        if len(out.get(v, ())) != k:
+        if any(col[v] is None for col in sigma):
             raise NotRegularError(v)
-        for i, w in out[v].items():
-            sigma[i][v] = w
-    for i in range(k):
-        if sorted(sigma[i]) != list(range(n)):
+    for i, col in enumerate(sigma):
+        if sorted(col) != list(range(n)):
             raise ValueError(f"sigma for letter {i} is not a bijection")
     return SchreierGraph(n, tuple([tuple(col) for col in sigma]))
 

@@ -332,15 +332,20 @@ class GroupEngine:
 
     key(w) is a hashable token of w's element (two ints on BS(m, n)), label(key)
     its normal-form Word; stepper(w), built once per word and stateless, maps a
-    key to its element times w, and neighbours(S), built once per search, maps it
-    to [key * w for w in S] in order.  normal_form = label . key is idempotent
-    and constant on group-equal words, so two words are equal iff their keys
-    are, and is_identity compares with the empty word's key.  Engines are
-    immutable; caching is invisible.
+    key to its element times w.  neighbours(S), built once per search, maps a
+    key to [key * w for w in S] in order: a word whose head (the word less its
+    last unit letter) is also in S steps by that letter from the head's slot,
+    filled first, since key * w = (key * head) * letter; any other word steps
+    by its own stepper.  normal_form = label . key is idempotent and constant
+    on group-equal words, so two words are equal iff their keys are, and
+    is_identity compares with the empty word's key.  Engines are immutable;
+    caching is invisible.
     """
 
-    alphabet = ()
-    kind = "abstract"
+    def __init__(self, alphabet):
+        self.alphabet = tuple(alphabet)
+        if not self.alphabet:
+            raise ValueError(f"{type(self).__name__} needs at least one generator")
 
     def key(self, w):
         raise NotImplementedError
@@ -352,8 +357,24 @@ class GroupEngine:
         raise NotImplementedError
 
     def neighbours(self, words):
-        steppers = [self.stepper(w) for w in words]
-        return lambda key: [f(key) for f in steppers]
+        n, plan = len(words), []
+        at = {w.letters: i for i, w in enumerate(words)}
+        size = [sum(abs(e) for _, e in w.letters) for w in words]
+        for i in sorted(range(n), key=size.__getitem__):
+            rule, j = words[i].letters, i
+            for g, e in rule[-1:]:
+                s = 1 if e > 0 else -1
+                j = at.get(rule[:-1] + ((g, e - s),) * (e != s), i)
+                rule = ((g, s),) if j != i else rule
+            plan.append((i, j, self.stepper(Word(rule))))
+
+        def step(key):
+            out = [key] * n
+            for i, j, f in plan:
+                out[i] = f(out[j])
+            return out
+
+        return step
 
     def normal_form(self, w):
         return self.label(self.key(w))
@@ -366,13 +387,6 @@ class GroupEngine:
 
 
 class FreeEngine(GroupEngine):
-    kind = "free"
-
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
-        if not self.alphabet:
-            raise ValueError("free engine needs at least one generator")
-
     def key(self, w):
         return free_reduce(w.letters).letters
 
@@ -385,13 +399,6 @@ class FreeEngine(GroupEngine):
 
 
 class FreeAbelianEngine(GroupEngine):
-    kind = "free_abelian"
-
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
-        if not self.alphabet:
-            raise ValueError("free abelian engine needs at least one generator")
-
     def key(self, w):
         out = [0] * len(self.alphabet)
         for g, e in w.letters:
@@ -411,7 +418,6 @@ class BaumslagSolitarEngine(GroupEngine):
     (t0, code) pairs; label unpacks them to BrittonForms."""
 
     alphabet = ("a", "b")
-    kind = "bs"
 
     def __init__(self, m, n):
         _check_bs(m, n)
@@ -427,28 +433,6 @@ class BaumslagSolitarEngine(GroupEngine):
 
     def stepper(self, w):
         return britton_stepper(w, self.m, self.n)
-
-    def neighbours(self, words):
-        # A word whose head (less its last unit letter) is in words steps by that
-        # letter's rule from the head's slot, filled first; others from the key.
-        n, plan = len(words), []
-        at = {w.letters: i for i, w in enumerate(words)}
-        size = [sum(abs(e) for _, e in w.letters) for w in words]
-        for i in sorted(range(n), key=size.__getitem__):
-            rule, j = words[i].letters, i
-            for g, e in rule[-1:]:
-                s = 1 if e > 0 else -1
-                j = at.get(rule[:-1] + ((g, e - s),) * (e != s), i)
-                rule = ((g, s),) if j != i else rule
-            plan.append((i, j, self.stepper(Word(rule))))
-
-        def step(key):
-            out = [key] * n
-            for i, j, f in plan:
-                out[i] = f(out[j])
-            return out
-
-        return step
 
 
 def _perm_compose(p, q):
@@ -482,15 +466,11 @@ class FinitePermutationEngine(GroupEngine):
     whole group; key and stepper never build it.
     """
 
-    kind = "perm"
-
     def __init__(self, alphabet, images):
-        self.alphabet = tuple(alphabet)
+        super().__init__(alphabet)
         self.images = tuple(tuple(p) for p in images)
         if len(self.images) != len(self.alphabet):
             raise ValueError("one permutation image per generator required")
-        if not self.images:
-            raise ValueError("permutation engine needs at least one generator")
         degree = len(self.images[0])
         for p in self.images:
             if sorted(p) != list(range(degree)):

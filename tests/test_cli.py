@@ -78,7 +78,7 @@ def test_ball_preset_needs_bs_engine(capsys):
         capsys, "ball", "--engine", "zd", "--preset", "s10", "--radius", "1"
     )
     assert code == 3
-    assert out == "" and "s10" in err
+    assert out == "" and "--preset s10 needs --engine bs" in err
 
 
 @pytest.mark.parametrize(
@@ -98,6 +98,23 @@ def test_ball_refuses_a_dimension_below_one_and_two_generating_sets(
     code, out, err = run(capsys, "ball", *argv, "--radius", "1")
     assert code == 3 and out == ""
     assert err.startswith("usage: lml ball") and message in err
+
+
+def test_empty_s_is_the_identity_not_the_default_set(capsys, tmp_path):
+    # --s "" spells one empty word, which S may not hold; it does not fall
+    # back to the generators and their inverses.
+    code, out, err = run(
+        capsys, "ball", "--engine", "zd", "--d", "2", "--radius", "1", "--s", ""
+    )
+    assert code == 3 and out == ""
+    assert "identity element in generating set (index 0)" in err
+    pres = tmp_path / "z.pres"
+    pres.write_text("gens x\nrel x^5\n")
+    code, out, err = run(
+        capsys, "cosets", "--presentation", str(pres), "--schreier", "--s", ""
+    )
+    assert code == 3 and out == ""
+    assert "identity element in generating set (index 0)" in err
 
 
 def test_ball_text_format_round_trips(capsys, z2_setup):
@@ -542,7 +559,7 @@ def test_witness_gcd_flag(capsys):
     code, out, err = run(
         capsys, "witness", "--m", "4", "--n", "6", "--max-degree", "1"
     )
-    assert code == 3 and "gcd" in err
+    assert code == 3 and "gcd" in err and "(--gcd-witness)" in err
     code, doc, _ = run_json(
         capsys,
         "witness", "--m", "4", "--n", "6", "--max-degree", "1",
@@ -636,6 +653,8 @@ def test_klein_fixture_text_round_trip(capsys):
 def test_klein_degenerate_dimensions(capsys):
     code, out, err = run(capsys, "klein", "--w", "3", "--h", "3")
     assert code == 3 and "error:" in err
+    code, out, err = run(capsys, "klein", "--w", "6", "--h", "0")
+    assert code == 3 and "height must be at least 1" in err
 
 
 def test_usage_errors_are_bad_input(capsys):
@@ -730,6 +749,10 @@ def test_max_mem_budget(capsys, monkeypatch):
     monkeypatch.setenv("LML_MAX_MEM", "not-a-number")
     code, out, err = run(capsys, "ball", "--radius", "1")
     assert code == 3 and "LML_MAX_MEM" in err
+    for budget in ("0", "-5"):
+        monkeypatch.setenv("LML_MAX_MEM", budget)
+        code, out, err = run(capsys, "ball", "--radius", "1")
+        assert code == 3 and out == "" and "LML_MAX_MEM must be positive" in err
 
 
 def test_byte_identical_reruns(capsys):

@@ -213,9 +213,44 @@ def test_engine_step_is_the_product_on_keys():
             assert eng.label(k) == eng.multiply(u, s)
 
 
+def test_neighbours_are_each_words_own_step():
+    # neighbours(S) steps a word from its head's product when the head is in
+    # S; in every engine that must be the word's own stepper on the key.
+    engines = (
+        FreeEngine(AB),
+        FreeAbelianEngine(AB),
+        BaumslagSolitarEngine(2, 3),
+        BaumslagSolitarEngine(9, 10),
+        FinitePermutationEngine(AB, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    )
+    rng = random.Random(98)
+    for eng in engines:
+        for _ in range(20):
+            ws = [wd(t) for t in S10_TEXTS] + [random_word(rng, max_len=3) for _ in range(4)]
+            rng.shuffle(ws)
+            step = eng.neighbours(ws)
+            for _ in range(10):
+                key = eng.key(random_word(rng))
+                assert step(key) == [eng.stepper(w)(key) for w in ws]
+
+
 def test_bs_engine_rejects_bad_parameters():
     with pytest.raises(ValueError):
         BaumslagSolitarEngine(0, 3)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    (
+        (FreeEngine, "FreeEngine"),
+        (FreeAbelianEngine, "FreeAbelianEngine"),
+        (lambda names: FinitePermutationEngine(names, ()), "FinitePermutationEngine"),
+    ),
+    ids=("free", "free-abelian", "permutation"),
+)
+def test_engines_refuse_an_empty_alphabet(make, name):
+    with pytest.raises(ValueError, match=f"^{name} needs at least one generator$"):
+        make(())
 
 
 def test_perm_engine_left_to_right_convention():
